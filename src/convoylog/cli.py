@@ -144,7 +144,7 @@ def cmd_query_group(args: argparse.Namespace) -> int:
     device = args.device
     t0 = _resolve_t0(log, device, args.t0)
     e0 = _resolve_snapshot(log, device, t0, params.delta)
-    result = discover_group(log, device, t0, e0.env, params)
+    result = discover_group(log, device, e0.t, e0.env, params)
     verdict = len(result.members) + 1 >= params.n
     print(f"device: {device}")
     print(f"t0: {t0}")
@@ -168,7 +168,7 @@ def cmd_eval_rules(args: argparse.Namespace) -> int:
     current = _resolve_snapshot(log, device, t0, config.delta)
     ctx = EvalContext(
         device=device,
-        now=t0,
+        now=current.t,
         current=current.env,
         log=log,
         session_gap=args.session_gap,

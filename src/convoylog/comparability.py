@@ -13,10 +13,12 @@ snapshots. Matching is directional: every sample of the first track needs a
 partner, the second track may have unmatched samples and may lend one sample
 to several reference samples. Matched partner times must be non-decreasing.
 
-tracks_similar does an exhaustive search over admissible matchings, with
-memoization on (reference index, earliest usable partner index) so it stays
-polynomial. It is meant as the trusted reference for window-based group
-scans, not as the fast path.
+tracks_similar decides this exactly in one backward pass: each reference
+sample, from the last to the first, takes the latest admissible partner at
+or before the one its successor took. Taking the latest partner leaves the
+earlier reference samples the most room, so the pass fails only when no
+order-preserving matching exists. It is meant as the trusted reference for
+window-based group scans, not as the fast path.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def comparable(a: EnvironmentSnapshot, b: EnvironmentSnapshot, omega: float) -> 
         raise ValueError(f"omega must be positive, got {omega}")
     if len(b) < len(a):
         a, b = b, a
-    levels = {o.bssid: o.rssi for o in b.observations}
+    levels = b.levels
     for o in a.observations:
         other = levels.get(o.bssid)
         if other is not None and abs(o.rssi - other) < omega:
@@ -71,7 +73,7 @@ def tracks_similar(
     other: Sequence[Fingerprint],
     params: ComparabilityParams,
 ) -> bool:
-    """Exhaustively test for an order-preserving full matching of reference.
+    """Test for an order-preserving full matching of reference into other.
 
     Every reference sample must find a partner in other within params.delta
     seconds whose snapshot is comparable within params.omega; partner times
@@ -84,30 +86,13 @@ def tracks_similar(
     if not _time_ordered(reference) or not _time_ordered(other):
         raise ValueError("tracks must be in strictly increasing time order")
 
-    n, m = len(reference), len(other)
-    admissible: list[list[int]] = []
-    for fp in reference:
-        row = [
-            j
-            for j in range(m)
-            if abs(other[j].t - fp.t) <= params.delta
+    j = len(other) - 1
+    for fp in reversed(reference):
+        while j >= 0 and not (
+            abs(other[j].t - fp.t) <= params.delta
             and comparable(fp.env, other[j].env, params.omega)
-        ]
-        if not row:
+        ):
+            j -= 1
+        if j < 0:
             return False
-        admissible.append(row)
-
-    dead: set[tuple[int, int]] = set()
-
-    def feasible(i: int, j_min: int) -> bool:
-        if i == n:
-            return True
-        if (i, j_min) in dead:
-            return False
-        for j in admissible[i]:
-            if j >= j_min and feasible(i + 1, j):
-                return True
-        dead.add((i, j_min))
-        return False
-
-    return feasible(0, 0)
+    return True

@@ -3,7 +3,8 @@
 Starting from one device's current snapshot, the scan asks: which other
 devices have been seeing approximately the same radio environment for the
 recent past? It walks the querying device's own track backwards and keeps a
-shrinking candidate set of companions.
+shrinking map from each candidate companion to its track; a candidate's
+track is looked up once, when it is seeded.
 
     1. Seed candidates with every other device's latest sample in the
        window [t0 - delta, t0]; drop those not comparable with the query
@@ -27,15 +28,15 @@ simply has no previous samples, so the walk ends at the seed step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .comparability import comparable
 from .errors import EmptyEnvironmentError
 from .proximity import (
     DeviceId,
     EnvironmentSnapshot,
-    Fingerprint,
     ProximityLog,
+    ProximityTrack,
     canonical_id,
 )
 
@@ -73,26 +74,6 @@ class GroupQueryParams:
             raise ValueError(f"min_steps must be at least 1, got {self.min_steps}")
 
 
-@dataclass
-class CandidateSet:
-    """Working set of possible companions during one scan.
-
-    Maps device id to the sample that matched the most recent processed
-    step. The querying device is never a candidate of its own query.
-    """
-
-    user: DeviceId
-    entries: dict[DeviceId, Fingerprint] = field(default_factory=dict)
-
-    def add(self, device: DeviceId, fp: Fingerprint) -> None:
-        if device == self.user:
-            raise ValueError("querying device cannot be its own candidate")
-        self.entries[device] = fp
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 @dataclass(frozen=True)
 class GroupResult:
     """Outcome of one scan.
@@ -121,21 +102,22 @@ def discover_group(
 
     t0 is the query time and e0 the user's snapshot at that time; e0 must
     be non-empty (EmptyEnvironmentError otherwise) since an empty snapshot
-    is comparable with nothing.
+    is comparable with nothing. A logged sample used as e0 must be queried
+    at its own time, or the walk counts it again as a history step.
     """
     if len(e0) == 0:
         raise EmptyEnvironmentError("query snapshot has no visible networks")
     user = canonical_id(user)
     horizon = t0 - params.t_max
 
-    cands = CandidateSet(user)
+    cands: dict[DeviceId, ProximityTrack] = {}
     for device, fp in log.measurements_in_window(t0 - params.delta, t0, exclude=user):
         if comparable(fp.env, e0, params.omega):
-            cands.add(device, fp)
+            cands[device] = log.track(device)
 
     steps = 1
     oldest = t0
-    if len(cands) > 0:
+    if cands:
         t = t0
         user_track = log.track(user) if user in log else None
         while t > horizon:
@@ -145,16 +127,14 @@ def discover_group(
             t, env = prev.t, prev.env
             steps += 1
             oldest = t
-            for device in list(cands.entries):
-                fp = log.track(device).nearest_in_window(t, params.delta)
+            for device, track in list(cands.items()):
+                fp = track.nearest_in_window(t, params.delta)
                 if fp is None or not comparable(fp.env, env, params.omega):
-                    del cands.entries[device]
-                else:
-                    cands.entries[device] = fp
-            if len(cands) == 0:
+                    del cands[device]
+            if not cands:
                 break
 
-    members = frozenset(cands.entries) if steps >= params.min_steps else frozenset()
+    members = frozenset(cands) if steps >= params.min_steps else frozenset()
     return GroupResult(members=members, steps_processed=steps, oldest_step_time=oldest)
 
 

@@ -19,6 +19,10 @@ Lines need not be globally time-sorted, but each device's lines must appear
 in increasing time order. The writer emits tracks sorted by device id and
 samples in time order, so a write/read cycle is lossless and deterministic.
 
+Each snapshot builds its bssid -> rssi map once, when it is made, and every
+reader (comparability, rule predicates, visit checks) looks access points up
+there instead of scanning or rebuilding it.
+
 Reads are pure and never mutate the store; a log may serve many concurrent
 readers as long as at most one writer calls ingest at a time.
 """
@@ -29,9 +33,9 @@ import json
 import math
 import re
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, KeysView, Mapping
 
 from .errors import (
     DuplicateBssidError,
@@ -68,7 +72,7 @@ def canonical_id(value: str) -> str:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApObservation:
     """One access point heard in a snapshot: identity plus signal strength."""
 
@@ -82,47 +86,41 @@ class ApObservation:
             raise ValueError(f"rssi must be an integer dBm value, got {self.rssi!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnvironmentSnapshot:
     """The set of access points visible in one measurement.
 
     At most one observation per bssid; an empty snapshot means the device
-    heard nothing, which is valid data.
+    heard nothing, which is valid data. levels maps each bssid to its rssi;
+    it is derived from observations and takes no part in repr, == or hash.
     """
 
     observations: tuple[ApObservation, ...] = ()
+    levels: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = tuple(self.observations)
         object.__setattr__(self, "observations", obs)
-        seen: set[str] = set()
+        levels: dict[str, int] = {}
         for o in obs:
-            if o.bssid in seen:
+            if o.bssid in levels:
                 raise DuplicateBssidError(f"duplicate access point {o.bssid}")
-            seen.add(o.bssid)
-
-    @classmethod
-    def from_levels(cls, levels: Mapping[str, int]) -> "EnvironmentSnapshot":
-        """Build a snapshot from a bssid -> rssi mapping (ssids left empty)."""
-        return cls(tuple(ApObservation(b, r) for b, r in levels.items()))
+            levels[o.bssid] = o.rssi
+        object.__setattr__(self, "levels", levels)
 
     def rssi(self, bssid: str) -> int | None:
         """Signal strength of one access point, or None if it is not visible."""
-        key = canonical_id(bssid)
-        for o in self.observations:
-            if o.bssid == key:
-                return o.rssi
-        return None
+        return self.levels.get(canonical_id(bssid))
 
     @property
-    def bssids(self) -> frozenset[str]:
-        return frozenset(o.bssid for o in self.observations)
+    def bssids(self) -> KeysView[str]:
+        return self.levels.keys()
 
     def __len__(self) -> int:
         return len(self.observations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fingerprint:
     """A snapshot stamped with the time it was taken."""
 
@@ -178,17 +176,17 @@ class ProximityTrack:
         """
         if delta < 0:
             raise ValueError("delta must be non-negative")
-        if not self._samples:
+        times = self._times
+        if not times:
             return None
-        i = bisect_left(self._times, t)
-        best: Fingerprint | None = None
-        for j in (i - 1, i):
-            if 0 <= j < len(self._samples):
-                cand = self._samples[j]
-                if abs(cand.t - t) <= delta:
-                    if best is None or abs(cand.t - t) < abs(best.t - t):
-                        best = cand
-        return best
+        i = bisect_left(times, t)
+        if i == len(times) or (i > 0 and abs(times[i - 1] - t) < abs(times[i] - t)):
+            i -= 1
+        d = abs(times[i] - t)
+        # Ties go to the earlier sample; rounding can tie more than one.
+        while i > 0 and abs(times[i - 1] - t) == d:
+            i -= 1
+        return self._samples[i] if d <= delta else None
 
     def previous_before(self, t: float) -> Fingerprint | None:
         """The latest sample strictly earlier than t, or None."""
@@ -255,10 +253,6 @@ class ProximityLog:
             if i >= 0 and track._times[i] >= t_lo:
                 out.append((device, track._samples[i]))
         return out
-
-    def previous_measurement(self, device: DeviceId, before: float) -> Fingerprint | None:
-        """The device's latest sample strictly earlier than before, or None."""
-        return self.track(device).previous_before(before)
 
 
 # --- JSONL serialization ---------------------------------------------------

@@ -519,8 +519,8 @@ def _matching_levels(network: str, env: EnvironmentSnapshot) -> list[int]:
     ssid text exactly (several access points may share an ssid).
     """
     if looks_like_hw_addr(network):
-        key = canonical_id(network)
-        return [o.rssi for o in env.observations if o.bssid == key]
+        level = env.rssi(network)
+        return [] if level is None else [level]
     return [o.rssi for o in env.observations if o.ssid == network]
 
 
@@ -543,7 +543,7 @@ def _had_previous_visit_overlap(ctx: EvalContext) -> bool:
         edge = samples[i].t
         i -= 1
     for j in range(i, -1, -1):
-        if current_ids & samples[j].env.bssids:
+        if not current_ids.isdisjoint(samples[j].env.levels):
             return True
     return False
 

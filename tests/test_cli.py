@@ -52,6 +52,14 @@ def write_example_log(path) -> None:
     write_log_jsonl(log, path)
 
 
+def write_one_shared_snapshot(path) -> None:
+    """Two devices, one sample each at t=5, hearing the same AP at the same level."""
+    log = ProximityLog()
+    put(log, A, 5, {X: -50})
+    put(log, B, 5, {X: -50})
+    write_log_jsonl(log, path)
+
+
 class TestSimulate:
     def test_writes_three_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -188,6 +196,25 @@ class TestQueryGroup:
         assert fields["snapshot_t"] == "90.0"
         assert fields["members"] == B
 
+    def test_query_snapshot_counted_once(self, tmp_path, capsys):
+        log_path = tmp_path / "log.jsonl"
+        write_one_shared_snapshot(log_path)
+        code, stdout, _ = run(
+            capsys,
+            "query-group",
+            "--log", str(log_path),
+            "--device", A,
+            "--t0", "5.5",
+            "--n", "2",
+        )
+        assert code == 0
+        fields = stdout_fields(stdout)
+        assert fields["t0"] == "5.5"
+        assert fields["snapshot_t"] == "5.0"
+        assert fields["steps_processed"] == "1"
+        assert fields["members"] == ""
+        assert fields["in_group_of"] == "false"
+
     def test_unknown_device(self, tmp_path, capsys):
         log_path = tmp_path / "log.jsonl"
         write_example_log(log_path)
@@ -241,6 +268,22 @@ class TestEvalRules:
         rules_path.write_text("RULE r: IF IS_VISIBLE('elsewhere') THEN 'x'\n")
         code, stdout, _ = run(
             capsys, "eval-rules", "--log", str(log_path), "--rules", str(rules_path), "--device", A
+        )
+        assert code == 0
+        assert stdout == ""
+
+    def test_group_rule_counts_query_snapshot_once(self, tmp_path, capsys):
+        log_path = tmp_path / "log.jsonl"
+        write_one_shared_snapshot(log_path)
+        rules_path = tmp_path / "rules.txt"
+        rules_path.write_text("RULE g: IF IN_GROUP_OF(2, 60) THEN 'x'\n")
+        code, stdout, _ = run(
+            capsys,
+            "eval-rules",
+            "--log", str(log_path),
+            "--rules", str(rules_path),
+            "--device", A,
+            "--t0", "5.5",
         )
         assert code == 0
         assert stdout == ""

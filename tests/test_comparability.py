@@ -135,6 +135,10 @@ class TestTracksSimilar:
                 t += rng.uniform(0.5, 5.0)
             assert tracks_similar(samples, samples, ComparabilityParams(omega=1, delta=0))
 
+    def test_long_track_matches_itself(self):
+        samples = track(*((float(i), {X: -50 - i % 7}) for i in range(1200)))
+        assert tracks_similar(samples, samples, ComparabilityParams(omega=1, delta=0))
+
     def test_monotone_in_delta_and_omega(self):
         rng = random.Random(4)
         for _ in range(150):

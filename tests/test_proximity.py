@@ -2,7 +2,7 @@ import io
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from convoylog import (
@@ -67,6 +67,14 @@ class TestSnapshots:
         assert env.rssi("AA-BB-CC-00-11-22") == -60
         assert env.rssi("aa:bb:cc:00:11:33") is None
 
+    def test_levels_map_is_derived(self):
+        a = snapshot({"aa:bb:cc:00:11:22": -60, "aa:bb:cc:00:11:33": -70})
+        b = snapshot({"aa:bb:cc:00:11:22": -60, "aa:bb:cc:00:11:33": -70})
+        assert a.levels == {"aa:bb:cc:00:11:22": -60, "aa:bb:cc:00:11:33": -70}
+        assert set(a.bssids) == {"aa:bb:cc:00:11:22", "aa:bb:cc:00:11:33"}
+        assert a == b and hash(a) == hash(b)
+        assert "levels" not in repr(a)
+
     def test_empty_snapshot_is_valid(self):
         env = EnvironmentSnapshot(())
         assert len(env) == 0
@@ -125,6 +133,7 @@ class TestTrack:
         center=st.floats(min_value=-10, max_value=110, allow_nan=False),
         delta=st.floats(min_value=0, max_value=30, allow_nan=False),
     )
+    @example(times=[0.0, 2.2250738585072014e-308], center=1.0, delta=1.0)
     def test_nearest_in_window_matches_linear_scan(self, times, center, delta):
         track = ProximityTrack("02:00:00:00:00:01")
         for t in sorted(times):

@@ -68,6 +68,15 @@ def _load_scenario(ref: str, seed: int | None) -> MobilityScenario:
     return scenario
 
 
+def _options(cls, **values):
+    """Build a parameter object from command-line values; a value it rejects
+    becomes a ConvoylogError, so the command reports it on one line."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConvoylogError(str(exc)) from None
+
+
 def _resolve_t0(log: ProximityLog, device: str, raw: str) -> float:
     if raw == "latest":
         last = log.track(device).last()
@@ -134,7 +143,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_query_group(args: argparse.Namespace) -> int:
     log = read_log_jsonl(args.log)
-    params = GroupQueryParams(
+    params = _options(
+        GroupQueryParams,
         delta=args.delta,
         omega=args.omega,
         t_max=args.t_max,
@@ -164,9 +174,10 @@ def cmd_eval_rules(args: argparse.Namespace) -> int:
         rules = parse_rules(fh.read())
     device = args.device
     t0 = _resolve_t0(log, device, args.t0)
-    config = EngineConfig(delta=args.delta, omega=args.omega, min_steps=args.min_steps)
+    config = _options(EngineConfig, delta=args.delta, omega=args.omega, min_steps=args.min_steps)
     current = _resolve_snapshot(log, device, t0, config.delta)
-    ctx = EvalContext(
+    ctx = _options(
+        EvalContext,
         device=device,
         now=current.t,
         current=current.env,
@@ -181,7 +192,7 @@ def cmd_eval_rules(args: argparse.Namespace) -> int:
 
 def cmd_convoy_baseline(args: argparse.Namespace) -> int:
     db = read_trajectories_jsonl(args.trajectories)
-    params = ConvoyParams(e=args.e, m=args.m, k=args.k)
+    params = _options(ConvoyParams, e=args.e, m=args.m, k=args.k)
     for convoy in discover_convoys(db, params):
         print(
             json.dumps(
@@ -263,10 +274,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     result = simulate(scenario)
     delta = args.delta if args.delta is not None else scenario.sample_interval / 4.0
     t_max = args.t_max if args.t_max is not None else scenario.duration
-    group_params = GroupQueryParams(
-        delta=delta, omega=args.omega, t_max=t_max, n=args.n, min_steps=args.min_steps
+    group_params = _options(
+        GroupQueryParams,
+        delta=delta,
+        omega=args.omega,
+        t_max=t_max,
+        n=args.n,
+        min_steps=args.min_steps,
     )
-    convoy_params = ConvoyParams(e=args.e, m=args.m, k=args.k)
+    convoy_params = _options(ConvoyParams, e=args.e, m=args.m, k=args.k)
     convoys = discover_convoys(result.trajectories, convoy_params)
     span = result.trajectories.time_range()
     grid_steps = span[1] - span[0] + 1 if span else 0

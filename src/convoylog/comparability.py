@@ -44,9 +44,9 @@ class ComparabilityParams:
     delta: float
 
     def __post_init__(self):
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError(f"delta must be non-negative, got {self.delta}")
 
 

@@ -62,11 +62,11 @@ class GroupQueryParams:
     min_steps: int = 2
 
     def __post_init__(self):
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError(f"delta must be non-negative, got {self.delta}")
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.t_max <= 0:
+        if not self.t_max > 0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")

@@ -128,7 +128,10 @@ class Fingerprint:
     env: EnvironmentSnapshot
 
     def __post_init__(self):
-        t = float(self.t)
+        try:
+            t = float(self.t)
+        except OverflowError:
+            raise ValueError("timestamp out of float range") from None
         if not math.isfinite(t):
             raise ValueError(f"timestamp must be finite, got {self.t!r}")
         object.__setattr__(self, "t", t)
@@ -323,6 +326,8 @@ def read_log_jsonl(source: str | Path | IO[str]) -> ProximityLog:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise LogFormatError(f"invalid JSON: {exc.msg}", line=lineno) from None
+        except ValueError:  # an integer literal beyond the interpreter's digit limit
+            raise LogFormatError("number has too many digits", line=lineno) from None
         try:
             device, fp = fingerprint_from_json(obj)
             log.ingest(device, fp)

@@ -211,7 +211,17 @@ def _tokenize(text: str) -> list[_Token]:
         m = _INT.match(text, i)
         if m:
             digits = m.group(0)
-            tokens.append(_Token("int", digits, int(digits), start_line, start_col))
+            # A lookback is used as float seconds, so literals must fit a float.
+            try:
+                value = int(digits)
+                float(value)
+            except (ValueError, OverflowError):
+                raise RuleSyntaxError(
+                    f"integer literal of {len(digits)} digits is out of range",
+                    start_line,
+                    start_col,
+                ) from None
+            tokens.append(_Token("int", digits, value, start_line, start_col))
             i = m.end()
             col += len(digits)
             continue
@@ -473,9 +483,9 @@ class EngineConfig:
     min_steps: int = 2
 
     def __post_init__(self):
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError(f"delta must be non-negative, got {self.delta}")
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.min_steps < 1:
             raise ValueError(f"min_steps must be at least 1, got {self.min_steps}")
@@ -501,7 +511,7 @@ class EvalContext:
 
     def __post_init__(self):
         object.__setattr__(self, "device", canonical_id(self.device))
-        if self.session_gap <= 0:
+        if not self.session_gap > 0:
             raise ValueError(f"session_gap must be positive, got {self.session_gap}")
         if self.time_of_day is not None and not 0 <= self.time_of_day < 1440:
             raise ValueError(f"time_of_day out of range: {self.time_of_day}")

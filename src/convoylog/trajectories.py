@@ -9,11 +9,23 @@ Per timestamp, objects are grouped by density clustering: an object is a
 core when at least m objects (itself included) lie within distance e of it
 (inclusive); clusters grow from cores through overlapping neighborhoods,
 non-core edge objects join the first cluster that reaches them, and objects
-in no cluster are noise and are omitted. Iteration is in ascending object
-id everywhere, which pins down the one free choice in the textbook
-procedure: an edge object reachable from two clusters lands in the cluster
-whose seed core has the smallest id. Results are therefore a pure function
-of the input.
+in no cluster are noise and are omitted. Clusters are grown to completion
+one at a time from seed cores taken in ascending object id, which pins down
+the one free choice in the textbook procedure: an edge object reachable
+from two clusters lands in the cluster whose seed core has the smallest id.
+The order in which one cluster's growth visits its objects does not change
+its members. Results are therefore a pure function of the input.
+
+Neighborhoods are found by a sweep along x, the fixed-radius near-neighbor
+search of Bentley, Stanat and Williams (1977): objects are sorted by x, and
+each object is tested against the objects after it in that order until the
+first whose x exceeds its own by more than e. The sweep finds exactly the
+pairs that comparing all pairs with the same `distance_to(...) <= e` test
+finds. For a fixed x, the rounded difference `q.x - p.x` never decreases as
+`q.x` grows, and `hypot(dx, dy) >= |dx|`, so no object after the stopping
+one can lie within e. A grid of e-sized cells would not be exact: with
+e = 1.0, the points (1.0, 0) and (-1e-20, 0) are neighbors, since their
+distance rounds to exactly 1.0, yet they fall in cells 1 and -1.
 
 Across timestamps, candidate groups are intersected with the clusters of
 the next timestamp and survive while the intersection keeps at least m
@@ -32,6 +44,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple
@@ -52,7 +65,10 @@ class Point(NamedTuple):
 
 
 def _check_point(p: Point) -> Point:
-    p = Point(float(p[0]), float(p[1]))
+    try:
+        p = Point(float(p[0]), float(p[1]))
+    except OverflowError:
+        raise ValueError("coordinates out of float range") from None
     if not (math.isfinite(p.x) and math.isfinite(p.y)):
         raise ValueError(f"coordinates must be finite, got {p}")
     return p
@@ -72,7 +88,7 @@ class ConvoyParams:
     k: int
 
     def __post_init__(self):
-        if self.e <= 0:
+        if not self.e > 0:
             raise ValueError(f"e must be positive, got {self.e}")
         if self.m < 1:
             raise ValueError(f"m must be at least 1, got {self.m}")
@@ -155,7 +171,7 @@ def neighborhood(
     center: Point, points: Iterable[tuple[ObjectId, Point]], e: float
 ) -> list[ObjectId]:
     """Ids of points within distance e of center, inclusive, sorted."""
-    if e <= 0:
+    if not e > 0:
         raise ValueError(f"e must be positive, got {e}")
     return sorted(obj for obj, p in points if center.distance_to(p) <= e)
 
@@ -166,9 +182,10 @@ def density_clusters(
     """Cluster labeled points by density; noise objects are omitted.
 
     Deterministic: clusters come out ordered by their smallest-id core, and
-    contested edge objects always land in the earlier cluster.
+    contested edge objects always land in the earlier cluster. Raises
+    ValueError for a non-positive or NaN e and for a non-finite coordinate.
     """
-    if e <= 0:
+    if not e > 0:
         raise ValueError(f"e must be positive, got {e}")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
@@ -176,23 +193,31 @@ def density_clusters(
     for obj, p in points:
         if obj in pos:
             raise ValueError(f"duplicate object id {obj!r}")
+        if not (math.isfinite(p.x) and math.isfinite(p.y)):
+            raise ValueError(f"coordinates must be finite, got {p}")
         pos[obj] = p
-    ids = sorted(pos)
-    near = {
-        obj: [o for o in ids if pos[obj].distance_to(pos[o]) <= e] for obj in ids
-    }
-    cores = {obj for obj in ids if len(near[obj]) >= m}
+    near: dict[ObjectId, list[ObjectId]] = {obj: [obj] for obj in pos}
+    by_x = sorted(pos.items(), key=lambda item: item[1].x)
+    for i, (a, p) in enumerate(by_x):
+        for j in range(i + 1, len(by_x)):
+            b, q = by_x[j]
+            if q.x - p.x > e:
+                break
+            if p.distance_to(q) <= e:
+                near[a].append(b)
+                near[b].append(a)
+    cores = {obj for obj, nbrs in near.items() if len(nbrs) >= m}
 
     assigned: set[ObjectId] = set()
     clusters: list[frozenset[ObjectId]] = []
-    for seed in ids:
-        if seed not in cores or seed in assigned:
+    for seed in sorted(cores):
+        if seed in assigned:
             continue
         cluster: set[ObjectId] = set()
-        queue = [seed]
+        queue = deque([seed])
         assigned.add(seed)
         while queue:
-            cur = queue.pop(0)
+            cur = queue.popleft()
             cluster.add(cur)
             if cur in cores:
                 for other in near[cur]:
@@ -268,6 +293,8 @@ def read_trajectories_jsonl(source: str | Path | IO[str]) -> TrajectoryDb:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise LogFormatError(f"invalid JSON: {exc.msg}", line=lineno) from None
+        except ValueError:  # an integer literal beyond the interpreter's digit limit
+            raise LogFormatError("number has too many digits", line=lineno) from None
         if not isinstance(obj, Mapping):
             raise LogFormatError("record must be a JSON object", line=lineno)
         try:
@@ -284,7 +311,7 @@ def read_trajectories_jsonl(source: str | Path | IO[str]) -> TrajectoryDb:
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
             raise LogFormatError("fields 'x' and 'y' must be numbers", line=lineno)
         try:
-            db.add(name, t, Point(float(x), float(y)))
+            db.add(name, t, Point(x, y))
         except (ValueError, NonMonotoneTimestampError) as exc:
             raise LogFormatError(str(exc), line=lineno) from None
     return db

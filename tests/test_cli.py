@@ -229,6 +229,14 @@ class TestQueryGroup:
         assert code == 1
         assert "t0" in err
 
+    def test_bad_delta(self, tmp_path, capsys):
+        log_path = tmp_path / "log.jsonl"
+        write_example_log(log_path)
+        code, stdout, err = run(capsys, "query-group", "--log", str(log_path), "--device", A, "--delta", "-1")
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: delta must be non-negative, got -1.0\n"
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         log_path = tmp_path / "log.jsonl"
         write_example_log(log_path)
@@ -315,6 +323,16 @@ class TestConvoyBaseline:
             {"members": ["02:00:00:00:01:01", "02:00:00:00:01:02"], "t_start": 0, "t_end": 10},
             {"members": ["02:00:00:00:02:01", "02:00:00:00:02:02"], "t_start": 0, "t_end": 10},
         ]
+
+    @pytest.mark.parametrize("e", ["-1", "nan"])
+    def test_bad_e(self, tmp_path, capsys, e):
+        run(capsys, "simulate", "builtin:fig4", "--out", str(tmp_path))
+        code, stdout, err = run(
+            capsys, "convoy-baseline", "--trajectories", str(tmp_path / "trajectories.jsonl"), "--e", e
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: e must be positive, got {float(e)}\n"
 
 
 class TestCompare:

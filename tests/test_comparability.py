@@ -71,6 +71,10 @@ class TestParams:
             ComparabilityParams(omega=0.0, delta=1.0)
         with pytest.raises(ValueError):
             ComparabilityParams(omega=1.0, delta=-0.1)
+        with pytest.raises(ValueError):
+            ComparabilityParams(omega=float("nan"), delta=1.0)
+        with pytest.raises(ValueError):
+            ComparabilityParams(omega=1.0, delta=float("nan"))
 
 
 def track(*points: tuple[float, dict[str, int]]) -> list[Fingerprint]:

@@ -162,6 +162,10 @@ class TestDiscoverGroup:
             GroupQueryParams(delta=1, omega=10, t_max=20, n=0)
         with pytest.raises(ValueError):
             GroupQueryParams(delta=1, omega=10, t_max=20, n=2, min_steps=0)
+        nan = float("nan")
+        for bad in (dict(delta=nan), dict(omega=nan), dict(t_max=nan)):
+            with pytest.raises(ValueError):
+                GroupQueryParams(**{"delta": 1, "omega": 10, "t_max": 20, "n": 2, **bad})
 
 
 class TestInGroupOf:

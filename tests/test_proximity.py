@@ -86,6 +86,8 @@ class TestSnapshots:
             Fingerprint(float("nan"), env)
         with pytest.raises(ValueError):
             Fingerprint(float("inf"), env)
+        with pytest.raises(ValueError):
+            Fingerprint(10**400, env)
 
 
 class TestTrack:
@@ -249,6 +251,16 @@ class TestJsonl:
         with pytest.raises(LogFormatError) as err:
             read_log_jsonl(io.StringIO('{"device": "02:00:00:00:00:01", "aps": []}\n'))
         assert "line 1" in str(err.value)
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_oversized_time_reports_line_number(self, digits):
+        text = (
+            '{"device": "02:00:00:00:00:01", "t": 1.0, "aps": []}\n'
+            f'{{"device": "02:00:00:00:00:01", "t": 1{"0" * digits}, "aps": []}}\n'
+        )
+        with pytest.raises(LogFormatError) as err:
+            read_log_jsonl(io.StringIO(text))
+        assert err.value.line == 2
 
     def test_out_of_order_device_samples_rejected(self):
         text = (

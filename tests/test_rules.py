@@ -118,6 +118,17 @@ class TestParse:
         with pytest.raises(RuleSyntaxError):
             parse_rules("RULE r: IF IN_GROUP_OF(2, 0) THEN 'x'")
 
+    def test_oversized_integer_literals(self):
+        # 5000 digits exceed the interpreter's int-parsing limit; a 400-digit
+        # lookback parses as an int but overflows a float
+        for text, column in (
+            (f"RULE r: IF IN_GROUP_OF({'1' * 5000}, 60) THEN 'x'", 24),
+            (f"RULE r: IF IN_GROUP_OF(2, 1{'0' * 400}) THEN 'x'", 27),
+        ):
+            with pytest.raises(RuleSyntaxError) as err:
+                parse_rules(text)
+            assert (err.value.line, err.value.column) == (1, column)
+
     def test_bad_time_literal(self):
         with pytest.raises(RuleSyntaxError):
             parse_rules("RULE r: IF TIME() < '25:00' THEN 'x'")
@@ -360,6 +371,14 @@ class TestClock:
             make_ctx(session_gap=0.0)
         with pytest.raises(ValueError):
             make_ctx(time_of_day=1440)
+        with pytest.raises(ValueError):
+            make_ctx(session_gap=float("nan"))
+
+    def test_engine_config_validation(self):
+        nan = float("nan")
+        for bad in (dict(delta=-1.0), dict(delta=nan), dict(omega=0.0), dict(omega=nan), dict(min_steps=0)):
+            with pytest.raises(ValueError):
+                EngineConfig(**bad)
 
 
 class TestInGroupOf:

@@ -2,6 +2,8 @@ import io
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convoylog import (
     Convoy,
@@ -35,6 +37,8 @@ class TestTypes:
         ConvoyParams(e=1.0, m=1, k=1)
         with pytest.raises(ValueError):
             ConvoyParams(e=0.0, m=2, k=1)
+        with pytest.raises(ValueError):
+            ConvoyParams(e=float("nan"), m=2, k=1)
         with pytest.raises(ValueError):
             ConvoyParams(e=1.0, m=0, k=1)
         with pytest.raises(ValueError):
@@ -87,6 +91,32 @@ class TestNeighborhood:
 
     def test_boundary_inclusive(self):
         assert neighborhood(Point(0, 0), [("a", Point(0, 2.0))], 2.0) == ["a"]
+
+    def test_nan_e_rejected(self):
+        with pytest.raises(ValueError):
+            neighborhood(Point(0, 0), [], float("nan"))
+
+
+E_VALUES = (1e-300, 1e-12, 0.3, 1.0, 3.0, 1e12, 1e300)
+OFFSETS = (0.0, 1e-20, -1e-20, 1e-12, -1e-12)
+
+
+@st.composite
+def boundary_layouts(draw):
+    """Points whose coordinates sit on, or a rounding step off, multiples of e.
+
+    Such points put many pairs at distance exactly e, where a neighbor
+    search that reasons about cells or bands rather than the distance test
+    itself goes wrong; some coordinates are arbitrary floats up to 1e308.
+    """
+    e = draw(st.one_of(st.sampled_from(E_VALUES), st.floats(min_value=1e-300, max_value=1e300)))
+    coordinate = st.one_of(
+        st.tuples(st.integers(-4, 4), st.sampled_from(OFFSETS)).map(lambda ko: ko[0] * e + ko[1]),
+        st.floats(min_value=-1e308, max_value=1e308),
+    )
+    n = draw(st.integers(0, 12))
+    points = [(f"o{i:02d}", Point(draw(coordinate), draw(coordinate))) for i in range(n)]
+    return points, e, draw(st.integers(1, 4))
 
 
 class TestDensityClusters:
@@ -156,6 +186,31 @@ class TestDensityClusters:
             m = rng.randint(1, 5)
             got = set(density_clusters(points, e, m))
             assert got == dbscan_oracle(points, e, m)
+
+    @settings(max_examples=300)
+    @given(case=boundary_layouts())
+    # (1.0, 0) and (-1e-20, 0) are exactly e apart after rounding, but fall
+    # in e-sized grid cells 1 and -1
+    @example(case=([("a", Point(1.0, 0.0)), ("b", Point(-1e-20, 0.0))], 1.0, 2))
+    @example(case=([("a", Point(0.0, 1.0)), ("b", Point(0.0, -1e-20))], 1.0, 2))
+    def test_matches_reachability_closure_at_boundaries(self, case):
+        points, e, m = case
+        got = density_clusters(points, e, m)
+        assert len(got) == len(set(got))
+        assert set(got) == dbscan_oracle(points, e, m)
+
+    def test_rounded_boundary_pair_is_one_cluster(self):
+        points = [("a", Point(1.0, 0.0)), ("b", Point(-1e-20, 0.0))]
+        assert density_clusters(points, e=1.0, m=2) == [frozenset({"a", "b"})]
+
+    def test_nan_e_and_non_finite_coordinates_rejected(self):
+        with pytest.raises(ValueError):
+            density_clusters([("a", Point(0.0, 0.0))], float("nan"), 1)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                density_clusters([("a", Point(bad, 0.0))], 1.0, 1)
+            with pytest.raises(ValueError):
+                density_clusters([("a", Point(0.0, bad))], 1.0, 1)
 
 
 class TestDiscoverConvoys:
@@ -296,6 +351,16 @@ class TestJsonl:
         with pytest.raises(LogFormatError) as err:
             read_trajectories_jsonl(io.StringIO(text))
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_oversized_coordinate_reports_line_number(self, digits):
+        text = (
+            '{"object": "a", "t": 0, "x": 1.0, "y": 2.0}\n'
+            f'{{"object": "a", "t": 1, "x": 1{"0" * digits}, "y": 2.0}}\n'
+        )
+        with pytest.raises(LogFormatError) as err:
+            read_trajectories_jsonl(io.StringIO(text))
+        assert err.value.line == 2
 
     def test_fractional_grid_time_rejected(self):
         with pytest.raises(LogFormatError):

@@ -19,13 +19,13 @@ produces byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConvoylogError, LogFormatError
 from .groups import GroupQueryParams, discover_group
+from .jsonio import read_text, write_jsonl
 from .proximity import (
     Fingerprint,
     ProximityLog,
@@ -170,8 +170,7 @@ def cmd_query_group(args: argparse.Namespace) -> int:
 
 def cmd_eval_rules(args: argparse.Namespace) -> int:
     log = read_log_jsonl(args.log)
-    with open(args.rules, "r", encoding="utf-8") as fh:
-        rules = parse_rules(fh.read())
+    rules = parse_rules(read_text(args.rules))
     device = args.device
     t0 = _resolve_t0(log, device, args.t0)
     config = _options(EngineConfig, delta=args.delta, omega=args.omega, min_steps=args.min_steps)
@@ -185,24 +184,17 @@ def cmd_eval_rules(args: argparse.Namespace) -> int:
         session_gap=args.session_gap,
         config=config,
     )
-    for rule_id, content in eval_rules(rules, ctx):
-        print(json.dumps({"rule": rule_id, "content": content}))
+    write_jsonl(sys.stdout, ({"rule": rule_id, "content": content} for rule_id, content in eval_rules(rules, ctx)))
     return 0
 
 
 def cmd_convoy_baseline(args: argparse.Namespace) -> int:
     db = read_trajectories_jsonl(args.trajectories)
     params = _options(ConvoyParams, e=args.e, m=args.m, k=args.k)
-    for convoy in discover_convoys(db, params):
-        print(
-            json.dumps(
-                {
-                    "members": sorted(convoy.members),
-                    "t_start": convoy.t_start,
-                    "t_end": convoy.t_end,
-                }
-            )
-        )
+    write_jsonl(
+        sys.stdout,
+        ({"members": sorted(c.members), "t_start": c.t_start, "t_end": c.t_end} for c in discover_convoys(db, params)),
+    )
     return 0
 
 

@@ -29,7 +29,6 @@ readers as long as at most one writer calls ingest at a time.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from bisect import bisect_left, bisect_right, insort
@@ -43,6 +42,7 @@ from .errors import (
     NonMonotoneTimestampError,
     UnknownDeviceError,
 )
+from .jsonio import read_jsonl, require, write_jsonl
 
 DeviceId = str
 
@@ -214,7 +214,10 @@ class ProximityLog:
         if track is None:
             track = ProximityTrack(key)
             self._tracks[key] = track
-            insort(self._order, key)
+            # A new list, so a reader iterating the old one never sees it change.
+            order = self._order.copy()
+            insort(order, key)
+            self._order = order
         track.append(fp)
 
     @property
@@ -272,40 +275,28 @@ def fingerprint_to_json(device: DeviceId, fp: Fingerprint) -> dict:
     }
 
 
-def _require(obj: Mapping, key: str, kinds, where: str):
-    if key not in obj:
-        raise LogFormatError(f"{where}: missing field {key!r}")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise LogFormatError(f"{where}: field {key!r} has wrong type")
-    return value
-
-
 def fingerprint_from_json(obj: Mapping) -> tuple[DeviceId, Fingerprint]:
     """Decode one record; raises LogFormatError on shape problems."""
     if not isinstance(obj, Mapping):
         raise LogFormatError("record must be a JSON object")
-    device = _require(obj, "device", str, "record")
-    t = _require(obj, "t", (int, float), "record")
-    aps = _require(obj, "aps", list, "record")
+    device = require(obj, "device", str, "record")
+    t = require(obj, "t", (int, float), "record")
+    aps = require(obj, "aps", list, "record")
     observations = []
-    for ap in aps:
-        if not isinstance(ap, Mapping):
-            raise LogFormatError("record: each ap must be a JSON object")
-        bssid = _require(ap, "bssid", str, "ap")
-        rssi = _require(ap, "rssi", (int, float), "ap")
-        if isinstance(rssi, float):
-            if not rssi.is_integer():
-                raise LogFormatError(f"ap: rssi must be integer dBm, got {rssi}")
-            rssi = int(rssi)
-        ssid = ap.get("ssid", "")
-        if not isinstance(ssid, str):
-            raise LogFormatError("ap: field 'ssid' has wrong type")
-        try:
-            observations.append(ApObservation(bssid=bssid, rssi=rssi, ssid=ssid))
-        except (ValueError, DuplicateBssidError) as exc:
-            raise LogFormatError(str(exc)) from None
     try:
+        for ap in aps:
+            if not isinstance(ap, Mapping):
+                raise LogFormatError("record: each ap must be a JSON object")
+            bssid = require(ap, "bssid", str, "ap")
+            rssi = require(ap, "rssi", (int, float), "ap")
+            if isinstance(rssi, float):
+                if not rssi.is_integer():
+                    raise LogFormatError(f"ap: rssi must be integer dBm, got {rssi}")
+                rssi = int(rssi)
+            ssid = ap.get("ssid", "")
+            if not isinstance(ssid, str):
+                raise LogFormatError("ap: field 'ssid' has wrong type")
+            observations.append(ApObservation(bssid=bssid, rssi=rssi, ssid=ssid))
         env = EnvironmentSnapshot(tuple(observations))
         return canonical_id(device), Fingerprint(t=t, env=env)
     except (ValueError, DuplicateBssidError) as exc:
@@ -314,36 +305,11 @@ def fingerprint_from_json(obj: Mapping) -> tuple[DeviceId, Fingerprint]:
 
 def read_log_jsonl(source: str | Path | IO[str]) -> ProximityLog:
     """Read a JSONL proximity log; malformed lines raise line-numbered errors."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_log_jsonl(fh)
     log = ProximityLog()
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LogFormatError(f"invalid JSON: {exc.msg}", line=lineno) from None
-        except ValueError:  # an integer literal beyond the interpreter's digit limit
-            raise LogFormatError("number has too many digits", line=lineno) from None
-        try:
-            device, fp = fingerprint_from_json(obj)
-            log.ingest(device, fp)
-        except NonMonotoneTimestampError as exc:
-            raise LogFormatError(str(exc), line=lineno) from None
-        except LogFormatError as exc:
-            raise LogFormatError(str(exc), line=lineno) from None
+    read_jsonl(source, lambda obj: log.ingest(*fingerprint_from_json(obj)))
     return log
 
 
 def write_log_jsonl(log: ProximityLog, dest: str | Path | IO[str]) -> None:
     """Write tracks sorted by device id, samples in time order."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            write_log_jsonl(log, fh)
-            return
-    for device in log.devices:
-        for fp in log.track(device):
-            dest.write(json.dumps(fingerprint_to_json(device, fp)) + "\n")
+    write_jsonl(dest, (fingerprint_to_json(d, fp) for d in log.devices for fp in log.track(d)))

@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping
 
 from .errors import InvalidScenarioError, LogFormatError
+from .jsonio import loads, number, opened, read_jsonl, read_text, require, write_jsonl
 from .proximity import (
     ApObservation,
     DeviceId,
@@ -48,6 +49,11 @@ from .proximity import (
 from .trajectories import Point, TrajectoryDb
 
 REFERENCE_DISTANCE_M = 1.0
+
+# The most samples (time steps x devices) a scenario may ask for: about 1 GB
+# of fingerprints and trajectory points. A runaway sample_interval such as
+# 1e-300 is then an error, not a loop that never ends.
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -63,9 +69,9 @@ class ApNode:
     def __post_init__(self):
         object.__setattr__(self, "bssid", canonical_id(self.bssid))
         object.__setattr__(self, "position", Point(*self.position))
-        if not self.detection_floor_dbm < self.tx_power_dbm:
+        if not -math.inf < self.detection_floor_dbm < self.tx_power_dbm < math.inf:
             raise InvalidScenarioError(
-                f"ap {self.bssid}: detection floor must sit below tx power"
+                f"ap {self.bssid}: detection floor must sit below tx power, both finite"
             )
 
 
@@ -78,10 +84,10 @@ class RadioModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.path_loss_exponent <= 0:
-            raise InvalidScenarioError("path_loss_exponent must be positive")
-        if self.noise_sigma_db < 0:
-            raise InvalidScenarioError("noise_sigma_db must be non-negative")
+        if not 0 < self.path_loss_exponent < math.inf:
+            raise InvalidScenarioError("path_loss_exponent must be positive and finite")
+        if not 0 <= self.noise_sigma_db < math.inf:
+            raise InvalidScenarioError("noise_sigma_db must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,8 @@ class WaypointPath:
         object.__setattr__(self, "waypoints", pts)
         if not pts:
             raise InvalidScenarioError("path needs at least one waypoint")
-        if self.speed <= 0:
-            raise InvalidScenarioError(f"speed must be positive, got {self.speed}")
+        if not 0 < self.speed < math.inf:
+            raise InvalidScenarioError(f"speed must be positive and finite, got {self.speed}")
 
     def position_at(self, t: float) -> Point:
         if t < 0:
@@ -181,12 +187,15 @@ class MobilityScenario:
     dropout_rate: float = 0.0
 
     def validate(self) -> None:
-        if self.sample_interval <= 0:
-            raise InvalidScenarioError("sample_interval must be positive")
-        if self.duration < 0:
-            raise InvalidScenarioError("duration must be non-negative")
+        if not 0 < self.sample_interval < math.inf:
+            raise InvalidScenarioError("sample_interval must be positive and finite")
+        if not 0 <= self.duration < math.inf:
+            raise InvalidScenarioError("duration must be non-negative and finite")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidScenarioError("dropout_rate must be in [0, 1)")
+        riders = sum(len(g.members) for g in self.groups) + len(self.loners)
+        if (self.duration / self.sample_interval + 1) * max(riders, 1) > MAX_SAMPLES:
+            raise InvalidScenarioError(f"more than {MAX_SAMPLES} samples (steps x devices)")
         seen_bssids: set[str] = set()
         for ap in self.aps:
             if ap.bssid in seen_bssids:
@@ -454,132 +463,104 @@ def scenario_to_json(scenario: MobilityScenario) -> dict:
     }
 
 
-def _points(raw, where: str) -> tuple[Point, ...]:
-    try:
-        return tuple(Point(float(x), float(y)) for x, y in raw)
-    except (TypeError, ValueError):
-        raise InvalidScenarioError(f"{where}: waypoints must be [x, y] pairs") from None
+def _list_of(obj: Mapping, key: str, kind, where: str) -> list:
+    items = require(obj, key, list, where)
+    if not all(isinstance(item, kind) for item in items):
+        raise LogFormatError(f"{where}: field {key!r} has an item of wrong type")
+    return items
+
+
+def _points(obj: Mapping, key: str, where: str) -> tuple[Point, ...]:
+    pairs = _list_of(obj, key, list, where)
+    if any(len(pair) != 2 for pair in pairs):
+        raise LogFormatError(f"{where}: {key} must be [x, y] pairs")
+    return tuple(Point(number(p, 0, f"{where}: {key}"), number(p, 1, f"{where}: {key}")) for p in pairs)
 
 
 def scenario_from_json(obj: Mapping) -> MobilityScenario:
-    if not isinstance(obj, Mapping):
-        raise InvalidScenarioError("scenario must be a JSON object")
-
-    def get(mapping: Mapping, key: str, where: str):
-        if key not in mapping:
-            raise InvalidScenarioError(f"{where}: missing field {key!r}")
-        return mapping[key]
-
-    radio_raw = get(obj, "radio", "scenario")
-    radio = RadioModel(
-        path_loss_exponent=float(get(radio_raw, "path_loss_exponent", "radio")),
-        noise_sigma_db=float(get(radio_raw, "noise_sigma_db", "radio")),
-        seed=int(get(radio_raw, "seed", "radio")),
-    )
-    aps = tuple(
-        ApNode(
-            bssid=get(ap, "bssid", "ap"),
-            ssid=ap.get("ssid", ""),
-            position=Point(float(get(ap, "x", "ap")), float(get(ap, "y", "ap"))),
-            tx_power_dbm=float(get(ap, "tx_power_dbm", "ap")),
-            detection_floor_dbm=float(get(ap, "detection_floor_dbm", "ap")),
-        )
-        for ap in get(obj, "aps", "scenario")
-    )
-    groups = []
-    for g in get(obj, "groups", "scenario"):
-        waypoints = _points(get(g, "waypoints", "group"), "group")
-        offsets_raw = g.get("offsets")
-        groups.append(
-            GroupSpec(
-                group_id=get(g, "group", "group"),
-                members=tuple(get(g, "members", "group")),
-                path=WaypointPath(waypoints, float(get(g, "speed", "group"))),
-                offsets=_points(offsets_raw, "group") if offsets_raw else (),
+    """Decode a scenario; a missing, mistyped or non-finite field raises
+    InvalidScenarioError."""
+    try:
+        radio = require(obj, "radio", Mapping, "scenario")
+        aps = tuple(
+            ApNode(
+                bssid=require(ap, "bssid", str, "ap"),
+                ssid=require(ap, "ssid", str, "ap") if "ssid" in ap else "",
+                position=Point(number(ap, "x", "ap"), number(ap, "y", "ap")),
+                tx_power_dbm=number(ap, "tx_power_dbm", "ap"),
+                detection_floor_dbm=number(ap, "detection_floor_dbm", "ap"),
             )
+            for ap in require(obj, "aps", list, "scenario")
         )
-    loners = tuple(
-        LonerSpec(
-            device=get(l, "device", "loner"),
-            path=WaypointPath(
-                _points(get(l, "waypoints", "loner"), "loner"),
-                float(get(l, "speed", "loner")),
+        groups = tuple(
+            GroupSpec(
+                group_id=require(g, "group", str, "group"),
+                members=tuple(_list_of(g, "members", str, "group")),
+                path=WaypointPath(_points(g, "waypoints", "group"), number(g, "speed", "group")),
+                offsets=_points(g, "offsets", "group") if "offsets" in g else (),
+            )
+            for g in require(obj, "groups", list, "scenario")
+        )
+        loners = tuple(
+            LonerSpec(
+                device=require(l, "device", str, "loner"),
+                path=WaypointPath(_points(l, "waypoints", "loner"), number(l, "speed", "loner")),
+            )
+            for l in require(obj, "loners", list, "scenario")
+        )
+        return MobilityScenario(
+            name=require(obj, "name", str, "scenario"),
+            aps=aps,
+            groups=groups,
+            loners=loners,
+            radio=RadioModel(
+                path_loss_exponent=number(radio, "path_loss_exponent", "radio"),
+                noise_sigma_db=number(radio, "noise_sigma_db", "radio"),
+                seed=require(radio, "seed", int, "radio"),
             ),
+            sample_interval=number(obj, "sample_interval", "scenario"),
+            duration=number(obj, "duration", "scenario"),
+            dropout_rate=number(obj, "dropout_rate", "scenario") if "dropout_rate" in obj else 0.0,
         )
-        for l in get(obj, "loners", "scenario")
-    )
-    return MobilityScenario(
-        name=get(obj, "name", "scenario"),
-        aps=aps,
-        groups=tuple(groups),
-        loners=loners,
-        radio=radio,
-        sample_interval=float(get(obj, "sample_interval", "scenario")),
-        duration=float(get(obj, "duration", "scenario")),
-        dropout_rate=float(obj.get("dropout_rate", 0.0)),
-    )
+    except (LogFormatError, ValueError) as exc:  # ValueError: an empty identifier
+        raise InvalidScenarioError(str(exc)) from None
 
 
 def read_scenario(source: str | Path | IO[str]) -> MobilityScenario:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_scenario(fh)
     try:
-        obj = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise InvalidScenarioError(f"scenario is not valid JSON: {exc.msg}") from None
-    scenario = scenario_from_json(obj)
+        scenario = scenario_from_json(loads(read_text(source)))
+    except LogFormatError as exc:
+        raise InvalidScenarioError(f"scenario: {exc}") from None
     scenario.validate()
     return scenario
 
 
 def write_scenario(scenario: MobilityScenario, dest: str | Path | IO[str]) -> None:
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            write_scenario(scenario, fh)
-            return
-    json.dump(scenario_to_json(scenario), dest, indent=2)
-    dest.write("\n")
+    with opened(dest, "w") as fh:
+        json.dump(scenario_to_json(scenario), fh, indent=2)
+        fh.write("\n")
 
 
 def write_ground_truth_jsonl(
     records: Iterable[GroundTruthRecord], dest: str | Path | IO[str]
 ) -> None:
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            write_ground_truth_jsonl(records, fh)
-            return
-    for r in records:
-        dest.write(
-            json.dumps(
-                {"device": r.device, "group": r.group, "t_start": r.t_start, "t_end": r.t_end}
-            )
-            + "\n"
-        )
+    write_jsonl(
+        dest,
+        ({"device": r.device, "group": r.group, "t_start": r.t_start, "t_end": r.t_end} for r in records),
+    )
 
 
 def read_ground_truth_jsonl(source: str | Path | IO[str]) -> tuple[GroundTruthRecord, ...]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_ground_truth_jsonl(fh)
-    records = []
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LogFormatError(f"invalid JSON: {exc.msg}", line=lineno) from None
-        try:
-            records.append(
-                GroundTruthRecord(
-                    device=obj["device"],
-                    group=obj["group"],
-                    t_start=float(obj["t_start"]),
-                    t_end=float(obj["t_end"]),
-                )
+    records: list[GroundTruthRecord] = []
+    read_jsonl(
+        source,
+        lambda obj: records.append(
+            GroundTruthRecord(
+                device=require(obj, "device", str, "record"),
+                group=require(obj, "group", (str, type(None)), "record"),
+                t_start=number(obj, "t_start", "record"),
+                t_end=number(obj, "t_end", "record"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LogFormatError(f"bad ground-truth record: {exc}", line=lineno) from None
+        ),
+    )
     return tuple(records)

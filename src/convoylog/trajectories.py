@@ -42,14 +42,14 @@ On-disk format is JSONL, one position per line:
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Mapping, NamedTuple
+from typing import IO, Iterable, NamedTuple
 
-from .errors import LogFormatError, NonMonotoneTimestampError, UnknownDeviceError
+from .errors import NonMonotoneTimestampError, UnknownDeviceError
+from .jsonio import read_jsonl, require, write_jsonl
 
 ObjectId = str
 
@@ -281,52 +281,19 @@ def discover_convoys(db: TrajectoryDb, params: ConvoyParams) -> list[Convoy]:
 
 def read_trajectories_jsonl(source: str | Path | IO[str]) -> TrajectoryDb:
     """Read a JSONL trajectory file; malformed lines raise line-numbered errors."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_trajectories_jsonl(fh)
     db = TrajectoryDb()
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LogFormatError(f"invalid JSON: {exc.msg}", line=lineno) from None
-        except ValueError:  # an integer literal beyond the interpreter's digit limit
-            raise LogFormatError("number has too many digits", line=lineno) from None
-        if not isinstance(obj, Mapping):
-            raise LogFormatError("record must be a JSON object", line=lineno)
-        try:
-            name = obj["object"]
-            t = obj["t"]
-            x = obj["x"]
-            y = obj["y"]
-        except KeyError as exc:
-            raise LogFormatError(f"missing field {exc.args[0]!r}", line=lineno) from None
-        if not isinstance(name, str):
-            raise LogFormatError("field 'object' has wrong type", line=lineno)
-        if isinstance(t, bool) or not isinstance(t, int):
-            raise LogFormatError("field 't' must be an integer", line=lineno)
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
-            raise LogFormatError("fields 'x' and 'y' must be numbers", line=lineno)
-        try:
-            db.add(name, t, Point(x, y))
-        except (ValueError, NonMonotoneTimestampError) as exc:
-            raise LogFormatError(str(exc), line=lineno) from None
+    read_jsonl(
+        source,
+        lambda obj: db.add(
+            require(obj, "object", str, "record"),
+            require(obj, "t", int, "record"),
+            Point(require(obj, "x", (int, float), "record"), require(obj, "y", (int, float), "record")),
+        ),
+    )
     return db
 
 
 def write_trajectories_jsonl(db: TrajectoryDb, dest: str | Path | IO[str]) -> None:
     """Write objects sorted by id, samples in time order."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            write_trajectories_jsonl(db, fh)
-            return
-    for obj in db.objects:
-        samples = db.positions(obj)
-        for t in sorted(samples):
-            p = samples[t]
-            dest.write(
-                json.dumps({"object": obj, "t": t, "x": p.x, "y": p.y}) + "\n"
-            )
+    samples = ((obj, t, p) for obj in db.objects for t, p in sorted(db.positions(obj).items()))
+    write_jsonl(dest, ({"object": obj, "t": t, "x": p.x, "y": p.y} for obj, t, p in samples))

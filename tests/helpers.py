@@ -7,8 +7,11 @@ two different routes to the same answer.
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations
+
+from hypothesis import strategies as st
 
 from convoylog import (
     ApObservation,
@@ -25,6 +28,44 @@ from convoylog.trajectories import Point, TrajectoryDb
 
 AP_POOL = tuple(f"0a:00:00:00:00:{i:02x}" for i in range(1, 7))
 DEVICE_POOL = tuple(f"02:00:00:00:00:{i:02x}" for i in range(1, 9))
+
+# Lines no JSON reader may let through as anything but a LogFormatError:
+# nesting deeper than the interpreter's stack, and a byte that is not UTF-8.
+UNDECODABLE_LINES = {"deep": b"[" * 100_000, "not-utf8": b"\xff{}"}
+
+
+def json_values(keys: tuple[str, ...]):
+    """Arbitrary JSON values. Object keys are mostly the given field names and
+    strings are sometimes field names too, so decoders get past their first
+    checks; numbers include NaN, infinities and an integer beyond float range."""
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.just(10**400)
+        | st.floats()
+        | st.text(max_size=4)
+        | st.sampled_from(keys)
+    )
+    return st.recursive(
+        scalars,
+        lambda kids: st.lists(kids, max_size=4)
+        | st.dictionaries(st.sampled_from(keys) | st.text(max_size=2), kids, max_size=len(keys) + 1),
+        max_leaves=24,
+    )
+
+
+def jsonl_text(keys: tuple[str, ...]):
+    """JSONL text whose lines are arbitrary JSON values or arbitrary text."""
+    line = json_values(keys).map(json.dumps) | st.text(max_size=30)
+    return st.lists(line, max_size=5).map("\n".join)
+
+
+def jsonl_ending_with(tmp_path, good_lines: list[str], bad: bytes):
+    """A JSONL file of good_lines followed by one bad line; returns its path."""
+    path = tmp_path / "input.jsonl"
+    path.write_bytes("".join(line + "\n" for line in good_lines).encode() + bad + b"\n")
+    return path
 
 
 def snapshot(levels: dict[str, int]) -> EnvironmentSnapshot:

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,7 @@ from convoylog import (
     write_scenario,
 )
 from convoylog.cli import main
-from helpers import put
+from helpers import UNDECODABLE_LINES, put
 
 X = "0a:00:00:00:00:01"
 Y = "0a:00:00:00:00:02"
@@ -94,6 +96,14 @@ class TestSimulate:
         assert code == 1
         assert err.startswith("error:")
         assert "fig4" in err and "corridor" in err
+
+    def test_infinite_duration_rejected(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(corridor_scenario(), scenario)
+        scenario.write_text(scenario.read_text().replace('"duration": 60.0', '"duration": Infinity'))
+        code, _, err = run(capsys, "simulate", str(scenario), "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert err.startswith("error:") and "duration" in err
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x"))
@@ -382,3 +392,32 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert "scenario: fig4" in proc.stdout
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("bad", UNDECODABLE_LINES.values(), ids=UNDECODABLE_LINES.keys())
+@pytest.mark.parametrize("command", ["ingest", "convoy-baseline", "simulate", "eval-rules"])
+def test_undecodable_input_is_one_error_line(tmp_path, command, bad):
+    path = tmp_path / "bad"
+    path.write_bytes(bad + b"\n")
+    log = tmp_path / "log.jsonl"
+    write_example_log(log)
+    argv = {
+        "ingest": ["ingest", str(path), "--out", str(tmp_path / "merged.jsonl")],
+        "convoy-baseline": ["convoy-baseline", "--trajectories", str(path)],
+        "simulate": ["simulate", str(path), "--out", str(tmp_path / "run")],
+        "eval-rules": ["eval-rules", "--log", str(log), "--rules", str(path), "--device", A],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "convoylog.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr

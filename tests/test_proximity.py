@@ -20,7 +20,9 @@ from convoylog import (
     read_log_jsonl,
     write_log_jsonl,
 )
-from helpers import put, snapshot
+from helpers import UNDECODABLE_LINES, jsonl_ending_with, jsonl_text, put, snapshot
+
+RECORD_KEYS = ("device", "t", "aps", "bssid", "rssi", "ssid")
 
 
 class TestCanonicalId:
@@ -158,6 +160,16 @@ class TestLog:
         assert "02:00:00:00:00:01" in log
         assert "02:00:00:00:00:09" not in log
 
+    def test_new_device_leaves_the_old_order_alone(self):
+        # A reader iterating _order while ingest adds a device must not see
+        # the list change under it, so ingest binds a new list.
+        log = ProximityLog()
+        put(log, "02:00:00:00:00:02", 1.0, {"0a:00:00:00:00:01": -50})
+        before = log._order
+        put(log, "02:00:00:00:00:01", 2.0, {"0a:00:00:00:00:01": -50})
+        assert before == ["02:00:00:00:00:02"]
+        assert log._order == ["02:00:00:00:00:01", "02:00:00:00:00:02"]
+
     def test_track_unknown_device(self):
         log = ProximityLog()
         with pytest.raises(UnknownDeviceError):
@@ -278,3 +290,19 @@ class TestJsonl:
         )
         log = read_log_jsonl(io.StringIO(text))
         assert len(log.track("02:00:00:00:00:02")) == 2
+
+    @pytest.mark.parametrize("bad", UNDECODABLE_LINES.values(), ids=UNDECODABLE_LINES.keys())
+    def test_undecodable_line_reports_line_number(self, tmp_path, bad):
+        # 300 good lines put the bad one beyond the first 8 kB a text stream
+        # decodes at once, so the number must come from the line itself.
+        good = [f'{{"device": "02:00:00:00:00:01", "t": {t}, "aps": []}}' for t in range(300)]
+        with pytest.raises(LogFormatError) as err:
+            read_log_jsonl(jsonl_ending_with(tmp_path, good, bad))
+        assert err.value.line == 301
+
+    @given(jsonl_text(RECORD_KEYS))
+    def test_arbitrary_input_raises_only_log_format_errors(self, text):
+        try:
+            read_log_jsonl(io.StringIO(text))
+        except LogFormatError:
+            pass

@@ -1,7 +1,10 @@
 import io
+import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from convoylog import (
     ApNode,
@@ -9,6 +12,7 @@ from convoylog import (
     GroupQueryParams,
     GroupSpec,
     InvalidScenarioError,
+    LogFormatError,
     LonerSpec,
     MobilityScenario,
     Point,
@@ -29,7 +33,8 @@ from convoylog import (
     write_scenario,
     write_trajectories_jsonl,
 )
-from helpers import oracle_members
+from convoylog.simulation import MAX_SAMPLES
+from helpers import UNDECODABLE_LINES, json_values, jsonl_ending_with, jsonl_text, oracle_members
 
 
 def ap(x=0.0, y=0.0, tx=-40.0, floor=-95.0, bssid="0a:00:00:00:00:01") -> ApNode:
@@ -71,6 +76,13 @@ class TestRadio:
             RadioModel(noise_sigma_db=-1.0)
         with pytest.raises(InvalidScenarioError):
             ap(tx=-40.0, floor=-40.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InvalidScenarioError):
+                RadioModel(path_loss_exponent=bad)
+            with pytest.raises(InvalidScenarioError):
+                RadioModel(noise_sigma_db=bad)
+            with pytest.raises(InvalidScenarioError):
+                ap(tx=bad)
 
 
 class TestPaths:
@@ -94,8 +106,9 @@ class TestPaths:
     def test_validation(self):
         with pytest.raises(InvalidScenarioError):
             WaypointPath((), speed=1.0)
-        with pytest.raises(InvalidScenarioError):
-            WaypointPath((Point(0, 0),), speed=0.0)
+        for speed in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidScenarioError):
+                WaypointPath((Point(0, 0),), speed=speed)
         with pytest.raises(InvalidScenarioError):
             path_through([(0, 0), (1, 1)], travel_time=0.0)
         with pytest.raises(InvalidScenarioError):
@@ -144,6 +157,25 @@ class TestScenarioValidation:
     def test_bad_interval_rejected(self):
         with pytest.raises(InvalidScenarioError):
             simulate(tiny_scenario(sample_interval=0.0))
+        for interval in (float("nan"), float("inf")):
+            with pytest.raises(InvalidScenarioError):
+                tiny_scenario(sample_interval=interval).validate()
+
+    @pytest.mark.parametrize("duration", [-1.0, float("nan"), float("inf")])
+    def test_bad_duration_rejected(self, duration):
+        with pytest.raises(InvalidScenarioError):
+            tiny_scenario(duration=duration).validate()
+
+    def test_sample_cap(self):
+        # Validation only: a scenario at the cap would take minutes to run.
+        # tiny_scenario has one device, so duration d at interval 1 asks for
+        # d + 1 samples.
+        tiny_scenario(duration=MAX_SAMPLES - 1.0).validate()
+        for over in (tiny_scenario(duration=MAX_SAMPLES), tiny_scenario(sample_interval=1e-300)):
+            with pytest.raises(InvalidScenarioError):
+                over.validate()
+        with pytest.raises(InvalidScenarioError):  # no devices still counts the steps
+            tiny_scenario(groups=(), sample_interval=1e-300).validate()
 
     def test_offsets_must_match_members(self):
         with pytest.raises(InvalidScenarioError):
@@ -274,11 +306,74 @@ class TestSerialization:
         write_scenario(corridor_scenario(), path)
         assert read_scenario(path) == corridor_scenario()
 
-    def test_invalid_scenario_json(self):
+    def test_invalid_scenario_json(self, tmp_path):
         with pytest.raises(InvalidScenarioError):
             read_scenario(io.StringIO("{not json"))
         with pytest.raises(InvalidScenarioError):
             scenario_from_json({"name": "x"})
+        for text in ("[" * 100_000, '{"name": 1' + "0" * 5000 + "}"):
+            with pytest.raises(InvalidScenarioError):
+                read_scenario(io.StringIO(text))
+        (tmp_path / "s.json").write_bytes(b"\xff" + json.dumps(scenario_to_json(fig4_scenario())).encode())
+        with pytest.raises(InvalidScenarioError):
+            read_scenario(tmp_path / "s.json")
+
+    MALFORMED_FIELDS = {
+        "string-seed": (("radio", "seed"), "z"),
+        "fractional-seed": (("radio", "seed"), 1.5),
+        "string-x": (("aps", 0, "x"), "q"),
+        "overflowing-x": (("aps", 0, "x"), 10**400),
+        "numeric-bssid": (("aps", 0, "bssid"), 5),
+        "numeric-aps": (("aps",), 5),
+        "numeric-ap": (("aps",), [5]),
+        "list-device": (("loners", 0, "device"), ["a"]),
+        "string-members": (("groups", 0, "members"), "abc"),
+        "numeric-member": (("groups", 0, "members"), [5]),
+        "numeric-group-id": (("groups", 0, "group"), 3),
+        "nan-speed": (("groups", 0, "speed"), float("nan")),
+        "nan-waypoint": (("groups", 0, "waypoints"), [[float("nan"), 0.0], [1.0, 1.0]]),
+        "waypoint-triple": (("groups", 0, "waypoints"), [[0.0, 0.0, 0.0]]),
+        "numeric-name": (("name",), 5),
+        "infinite-duration": (("duration",), float("inf")),
+        "runaway-interval": (("sample_interval",), 1e-300),
+    }
+
+    @pytest.mark.parametrize("path, value", MALFORMED_FIELDS.values(), ids=MALFORMED_FIELDS.keys())
+    def test_malformed_field_rejected(self, path, value):
+        doc = scenario_to_json(corridor_scenario())
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(InvalidScenarioError):
+            read_scenario(io.StringIO(json.dumps(doc)))
+
+    @given(st.data())
+    def test_arbitrary_field_values_raise_only_scenario_errors(self, data):
+        doc = scenario_to_json(corridor_scenario())
+        slots = []  # (container, key) for every value in the document
+
+        def walk(node):
+            for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+                slots.append((node, key))
+                if isinstance(child, (dict, list)):
+                    walk(child)
+
+        walk(doc)
+        container, key = data.draw(st.sampled_from(slots))
+        container[key] = data.draw(json_values(tuple(sorted({k for _, k in slots if isinstance(k, str)}))))
+        try:
+            read_scenario(io.StringIO(json.dumps(doc)))
+        except InvalidScenarioError:
+            pass
+
+    @given(st.text())
+    def test_arbitrary_text_raises_only_scenario_errors(self, text):
+        try:
+            read_scenario(io.StringIO(text))
+        except InvalidScenarioError:
+            pass
 
     def test_ground_truth_round_trip(self):
         records = (
@@ -288,3 +383,26 @@ class TestSerialization:
         buf = io.StringIO()
         write_ground_truth_jsonl(records, buf)
         assert read_ground_truth_jsonl(io.StringIO(buf.getvalue())) == records
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            b'{"device": "a", "group": "g", "t_start": 1' + b"0" * 5000 + b', "t_end": 1}',
+            b'{"device": "a", "group": "g", "t_start": 1' + b"0" * 400 + b', "t_end": 1}',
+            b'{"device": 5, "group": 7, "t_start": 0, "t_end": 1}',
+            *UNDECODABLE_LINES.values(),
+        ],
+        ids=["5000-digits", "400-digits", "numeric-ids", *UNDECODABLE_LINES.keys()],
+    )
+    def test_malformed_ground_truth_reports_line_number(self, tmp_path, bad):
+        good = ['{"device": "a", "group": null, "t_start": 0.0, "t_end": 1.0}']
+        with pytest.raises(LogFormatError) as err:
+            read_ground_truth_jsonl(jsonl_ending_with(tmp_path, good, bad))
+        assert err.value.line == 2
+
+    @given(jsonl_text(("device", "group", "t_start", "t_end")))
+    def test_arbitrary_ground_truth_raises_only_log_format_errors(self, text):
+        try:
+            read_ground_truth_jsonl(io.StringIO(text))
+        except LogFormatError:
+            pass

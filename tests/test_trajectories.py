@@ -19,7 +19,7 @@ from convoylog import (
     read_trajectories_jsonl,
     write_trajectories_jsonl,
 )
-from helpers import convoy_oracle, dbscan_oracle
+from helpers import UNDECODABLE_LINES, convoy_oracle, dbscan_oracle, jsonl_ending_with, jsonl_text
 
 
 def db_from(rows) -> TrajectoryDb:
@@ -365,3 +365,17 @@ class TestJsonl:
     def test_fractional_grid_time_rejected(self):
         with pytest.raises(LogFormatError):
             read_trajectories_jsonl(io.StringIO('{"object": "a", "t": 0.5, "x": 1, "y": 2}\n'))
+
+    @pytest.mark.parametrize("bad", UNDECODABLE_LINES.values(), ids=UNDECODABLE_LINES.keys())
+    def test_undecodable_line_reports_line_number(self, tmp_path, bad):
+        good = [f'{{"object": "a", "t": {t}, "x": 1.0, "y": 2.0}}' for t in range(300)]
+        with pytest.raises(LogFormatError) as err:
+            read_trajectories_jsonl(jsonl_ending_with(tmp_path, good, bad))
+        assert err.value.line == 301
+
+    @given(jsonl_text(("object", "t", "x", "y")))
+    def test_arbitrary_input_raises_only_log_format_errors(self, text):
+        try:
+            read_trajectories_jsonl(io.StringIO(text))
+        except LogFormatError:
+            pass

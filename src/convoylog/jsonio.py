@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Iterable, Mapping
 from contextlib import nullcontext
 from pathlib import Path
-from typing import IO, Any, Callable, ContextManager, Iterable, Mapping
+from typing import IO, Any, ContextManager
 
 from .errors import ConvoylogError, LogFormatError
 
@@ -34,12 +35,14 @@ def read_text(source: str | Path | IO[str]) -> str:
             raise LogFormatError(f"not UTF-8 text: {exc.reason}") from None
 
 
-def loads(data: str) -> Any:
+def loads(data: str | bytes) -> Any:
     """json.loads, raising LogFormatError for any malformed text."""
     try:
         return json.loads(data)
     except json.JSONDecodeError as exc:
         raise LogFormatError(f"invalid JSON: {exc.msg}") from None
+    except UnicodeDecodeError as exc:  # bytes from a binary handle
+        raise LogFormatError(f"not UTF-8 text: {exc.reason}") from None
     except ValueError:  # an integer literal beyond the interpreter's digit limit
         raise LogFormatError("number has too many digits") from None
     except RecursionError:

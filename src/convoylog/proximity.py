@@ -19,6 +19,12 @@ Lines need not be globally time-sorted, but each device's lines must appear
 in increasing time order. The writer emits tracks sorted by device id and
 samples in time order, so a write/read cycle is lossless and deterministic.
 
+Device and access-point ids are stored in canonical form (canonical_id).
+An id already in that form, as the writer emits it, costs one regex
+fullmatch and comes back as the same object; only other spellings pay for
+the full normalization, so decoding and ingesting a written log re-checks
+each id but rebuilds none.
+
 Each snapshot builds its bssid -> rssi map once, when it is made, and every
 reader (comparability, rule predicates, visit checks) looks access points up
 there instead of scanning or rebuilding it.
@@ -32,9 +38,10 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Iterable, Iterator, KeysView, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, KeysView, Mapping
+from typing import IO
 
 from .errors import (
     DuplicateBssidError,
@@ -47,6 +54,7 @@ from .jsonio import read_jsonl, require, write_jsonl
 DeviceId = str
 
 _HW_ADDR = re.compile(r"^[0-9a-f]{12}$")
+_is_canonical_hw_addr = re.compile(r"[0-9a-f]{2}(?::[0-9a-f]{2}){5}").fullmatch
 _SEPARATORS = str.maketrans("", "", ":-.")
 
 
@@ -62,7 +70,14 @@ def canonical_id(value: str) -> str:
     colon-separated octet pairs ("AA-BB-CC-DD-EE-FF" -> "aa:bb:cc:dd:ee:ff");
     anything else is only stripped and lowercased. Idempotent, so stored ids
     can be compared byte-for-byte.
+
+    A str already in that canonical address form is returned as is, the same
+    object, after one fullmatch; only other input pays for the normalization.
     """
+    # type, not isinstance: anything else, str subclasses included, takes the
+    # full path, so it fails or comes back as a plain str.
+    if type(value) is str and _is_canonical_hw_addr(value):
+        return value
     v = value.strip().lower()
     if not v:
         raise ValueError("identifier must be non-empty")
@@ -296,7 +311,7 @@ def fingerprint_from_json(obj: Mapping) -> tuple[DeviceId, Fingerprint]:
             ssid = ap.get("ssid", "")
             if not isinstance(ssid, str):
                 raise LogFormatError("ap: field 'ssid' has wrong type")
-            observations.append(ApObservation(bssid=bssid, rssi=rssi, ssid=ssid))
+            observations.append(ApObservation(bssid, rssi, ssid))
         env = EnvironmentSnapshot(tuple(observations))
         return canonical_id(device), Fingerprint(t=t, env=env)
     except (ValueError, DuplicateBssidError) as exc:

@@ -32,9 +32,10 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping
+from typing import IO
 
 from .errors import InvalidScenarioError, LogFormatError
 from .jsonio import loads, number, opened, read_jsonl, read_text, require, write_jsonl
@@ -68,7 +69,8 @@ class ApNode:
 
     def __post_init__(self):
         object.__setattr__(self, "bssid", canonical_id(self.bssid))
-        object.__setattr__(self, "position", Point(*self.position))
+        position = _finite_points((self.position,), f"ap {self.bssid}: position")[0]
+        object.__setattr__(self, "position", position)
         if not -math.inf < self.detection_floor_dbm < self.tx_power_dbm < math.inf:
             raise InvalidScenarioError(
                 f"ap {self.bssid}: detection floor must sit below tx power, both finite"
@@ -90,6 +92,14 @@ class RadioModel:
             raise InvalidScenarioError("noise_sigma_db must be non-negative and finite")
 
 
+def _finite_points(points: Iterable, what: str) -> tuple[Point, ...]:
+    """points as Points; InvalidScenarioError unless every coordinate is finite."""
+    pts = tuple(Point(*p) for p in points)
+    if not all(-math.inf < c < math.inf for p in pts for c in p):
+        raise InvalidScenarioError(f"{what} coordinates must be finite")
+    return pts
+
+
 @dataclass(frozen=True)
 class WaypointPath:
     """Piecewise-linear motion at constant speed, holding the last waypoint."""
@@ -98,7 +108,7 @@ class WaypointPath:
     speed: float
 
     def __post_init__(self):
-        pts = tuple(Point(*p) for p in self.waypoints)
+        pts = _finite_points(self.waypoints, "waypoint")
         object.__setattr__(self, "waypoints", pts)
         if not pts:
             raise InvalidScenarioError("path needs at least one waypoint")
@@ -154,7 +164,7 @@ class GroupSpec:
         object.__setattr__(self, "members", members)
         if not members:
             raise InvalidScenarioError(f"group {self.group_id} has no members")
-        offsets = tuple(Point(*p) for p in self.offsets)
+        offsets = _finite_points(self.offsets, f"group {self.group_id}: offset")
         if not offsets:
             offsets = tuple(Point(0.0, 0.0) for _ in members)
         object.__setattr__(self, "offsets", offsets)

@@ -1,5 +1,6 @@
 import io
 import random
+import re
 
 import pytest
 from hypothesis import example, given
@@ -24,6 +25,21 @@ from helpers import UNDECODABLE_LINES, jsonl_ending_with, jsonl_text, put, snaps
 
 RECORD_KEYS = ("device", "t", "aps", "bssid", "rssi", "ssid")
 
+CANONICAL = r"[0-9a-f]{2}(?::[0-9a-f]{2}){5}"
+NEAR_CANONICAL = r"\s?[0-9a-fA-F\u0661]{2}(?:[:.-]?[0-9a-fA-F]{2}){4,6}[:.-]?\s?"
+
+
+def full_normalization(value):
+    """canonical_id without its fast path: strip, lowercase, and rejoin the
+    hex digits of anything that reads as a hardware address."""
+    v = value.strip().lower()
+    if not v:
+        raise ValueError("identifier must be non-empty")
+    digits = v.translate(str.maketrans("", "", ":-."))
+    if re.match(r"^[0-9a-f]{12}$", digits):
+        return ":".join(digits[i : i + 2] for i in range(0, 12, 2))
+    return v
+
 
 class TestCanonicalId:
     def test_hex_pairs_are_normalized(self):
@@ -43,6 +59,36 @@ class TestCanonicalId:
         for raw in ["AA-BB-CC-00-11-22", "Phone-7", "0a:00:00:00:00:01"]:
             once = canonical_id(raw)
             assert canonical_id(once) == once
+
+    @given(st.one_of(st.text(), st.from_regex(NEAR_CANONICAL, fullmatch=True)))
+    @example("AA:BB:CC:DD:EE:FF")
+    @example(" aa:bb:cc:dd:ee:ff ")
+    @example("aa:bb:cc:dd:ee:ff\n")
+    @example("aa-bb-cc-dd-ee-ff")
+    @example("aa.bb.cc.dd.ee.ff")
+    @example("aa:bb:cc:dd:ee")
+    @example("aa:bb:cc:dd:ee:ff:00")
+    @example("\u0661\u0661:bb:cc:dd:ee:ff")  # Arabic-Indic digit one
+    @example("aabbccddeeff\n.")
+    def test_fast_path_matches_full_normalization(self, raw):
+        try:
+            expected = full_normalization(raw)
+        except ValueError:
+            with pytest.raises(ValueError):
+                canonical_id(raw)
+            return
+        got = canonical_id(raw)
+        assert got == expected
+        assert canonical_id(got) == got
+        if re.fullmatch(CANONICAL, raw):
+            assert got is raw
+
+    @pytest.mark.parametrize("raw", [5, 1.5, None, ["a"], b"", b"  ", b"aa:bb:cc:dd:ee:ff", b"AA-BB"])
+    def test_non_str_ids_fail_as_the_full_normalization_does(self, raw):
+        with pytest.raises(Exception) as expected:
+            full_normalization(raw)
+        with pytest.raises(expected.type):
+            canonical_id(raw)
 
     def test_looks_like_hw_addr(self):
         assert looks_like_hw_addr("aa:bb:cc:00:11:22")

@@ -186,6 +186,21 @@ class TestScenarioValidation:
                 offsets=(Point(0, 0), Point(0, 1)),
             )
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coordinates_rejected(self, bad):
+        # Built from Python: the scenario reader checks its numbers itself.
+        with pytest.raises(InvalidScenarioError):
+            WaypointPath((Point(0, 0), Point(bad, 1.0)), 1.0)
+        with pytest.raises(InvalidScenarioError):
+            GroupSpec(
+                group_id="g1",
+                members=("02:00:00:00:00:01", "02:00:00:00:00:02"),
+                path=WaypointPath((Point(0, 0),), 1.0),
+                offsets=(Point(0, 0), Point(0.0, bad)),
+            )
+        with pytest.raises(InvalidScenarioError):
+            ap(x=bad)
+
 
 class TestSimulate:
     def test_single_device_three_samples(self):
@@ -317,6 +332,8 @@ class TestSerialization:
         (tmp_path / "s.json").write_bytes(b"\xff" + json.dumps(scenario_to_json(fig4_scenario())).encode())
         with pytest.raises(InvalidScenarioError):
             read_scenario(tmp_path / "s.json")
+        with pytest.raises(InvalidScenarioError, match="not UTF-8"):
+            read_scenario(io.BytesIO(b"\xff{}"))
 
     MALFORMED_FIELDS = {
         "string-seed": (("radio", "seed"), "z"),

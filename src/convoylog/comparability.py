@@ -52,7 +52,7 @@ class ComparabilityParams:
 
 def comparable(a: EnvironmentSnapshot, b: EnvironmentSnapshot, omega: float) -> bool:
     """True when some shared access point differs by less than omega dB."""
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
     if len(b) < len(a):
         a, b = b, a

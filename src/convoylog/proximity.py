@@ -192,8 +192,8 @@ class ProximityTrack:
         Ties between an earlier and a later sample at equal distance go to
         the earlier one. None when the window holds no sample.
         """
-        if delta < 0:
-            raise ValueError("delta must be non-negative")
+        if not delta >= 0:
+            raise ValueError(f"delta must be non-negative, got {delta}")
         times = self._times
         if not times:
             return None
@@ -229,10 +229,15 @@ class ProximityLog:
         if track is None:
             track = ProximityTrack(key)
             self._tracks[key] = track
-            # A new list, so a reader iterating the old one never sees it change.
-            order = self._order.copy()
-            insort(order, key)
-            self._order = order
+            # An id sorting last is appended in place: a reader iterating the
+            # list meets it once, at the end. Any other id goes into a new
+            # list, so a reader of the old one never sees entries shift.
+            if not self._order or self._order[-1] < key:
+                self._order.append(key)
+            else:
+                order = self._order.copy()
+                insort(order, key)
+                self._order = order
         track.append(fp)
 
     @property

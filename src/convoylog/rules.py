@@ -25,6 +25,13 @@ snapshot. Thresholds that tune group discovery (time and RSSI tolerances)
 are engine configuration, not rule text: rule authors say "n devices over
 the last t seconds" and operators own the radio calibration.
 
+Within one eval_rules call the rules share their costly answers: one
+discover_group scan per distinct IN_GROUP_OF lookback, which answers every
+group size n on that lookback (a scan's members do not depend on n), and
+one visit check for FIRST_VISIT and FOLLOW_UP_VISIT. Each is made on first
+need and dropped when the call returns; nothing is kept across calls, since
+the log may change between evaluations.
+
 Rulesets are immutable after parsing and evaluation is pure, so one parsed
 ruleset may serve concurrent evaluations against a shared log snapshot.
 """
@@ -32,9 +39,15 @@ ruleset may serve concurrent evaluations against a shared log snapshot.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
+from . import groups
 from .errors import DuplicateRuleIdError, RuleSyntaxError
+# rules.in_group_of stays bound because perfbench/tracing.py wraps it by that
+# name. Evaluation calls groups.discover_group through the module instead, to
+# share one scan per lookback; a wrapped groups.discover_group still sees it.
 from .groups import GroupQueryParams, in_group_of
 from .proximity import (
     DeviceId,
@@ -474,7 +487,7 @@ def format_rules(rules: tuple[Rule, ...] | list[Rule]) -> str:
 class EngineConfig:
     """Operator-tuned thresholds used when rules delegate to group discovery.
 
-    delta/omega are the time and RSSI tolerances handed to in_group_of;
+    delta/omega are the time and RSSI tolerances handed to the group scan;
     min_steps is its evidence floor.
     """
 
@@ -534,20 +547,21 @@ def _matching_levels(network: str, env: EnvironmentSnapshot) -> list[int]:
     return [o.rssi for o in env.observations if o.ssid == network]
 
 
+_sample_time = attrgetter("t")
+
+
 def _had_previous_visit_overlap(ctx: EvalContext) -> bool:
     """True when some currently visible AP was also seen on an earlier visit.
 
     Walking back from now, samples chained by gaps of at most session_gap
-    form the current visit; anything before the first longer gap belongs to
-    previous visits.
+    form the current visit (a sample exactly at now belongs to it); anything
+    before the first longer gap belongs to previous visits.
     """
     current_ids = ctx.current.bssids
     if not current_ids or ctx.device not in ctx.log:
         return False
     samples = ctx.log.track(ctx.device).samples
-    i = len(samples) - 1
-    while i >= 0 and samples[i].t > ctx.now:
-        i -= 1
+    i = bisect_right(samples, ctx.now, key=_sample_time) - 1
     edge = ctx.now
     while i >= 0 and edge - samples[i].t <= ctx.session_gap:
         edge = samples[i].t
@@ -558,14 +572,35 @@ def _had_previous_visit_overlap(ctx: EvalContext) -> bool:
     return False
 
 
-def eval_predicate(p: Predicate, ctx: EvalContext) -> bool:
-    """Evaluate one condition; never raises on odd context, answers False."""
+class _Shared:
+    """Answers the predicates of one eval_rules call share.
+
+    members maps an IN_GROUP_OF lookback to its scan's members; visited is
+    the visit check's answer once made. eval_rules makes one per call and
+    keeps none, because the log may change between evaluations.
+    """
+
+    __slots__ = ("members", "visited")
+
+    def __init__(self) -> None:
+        self.members: dict[int, frozenset[DeviceId]] = {}
+        self.visited: bool | None = None
+
+
+def eval_predicate(p: Predicate, ctx: EvalContext, shared: _Shared | None = None) -> bool:
+    """Evaluate one condition; never raises on odd context, answers False.
+
+    shared is eval_rules' per-call memo; a call without it makes its own, so
+    answers are never shared with another call.
+    """
+    if shared is None:
+        shared = _Shared()
     if isinstance(p, And):
-        return eval_predicate(p.left, ctx) and eval_predicate(p.right, ctx)
+        return eval_predicate(p.left, ctx, shared) and eval_predicate(p.right, ctx, shared)
     if isinstance(p, Or):
-        return eval_predicate(p.left, ctx) or eval_predicate(p.right, ctx)
+        return eval_predicate(p.left, ctx, shared) or eval_predicate(p.right, ctx, shared)
     if isinstance(p, Not):
-        return not eval_predicate(p.operand, ctx)
+        return not eval_predicate(p.operand, ctx, shared)
     if isinstance(p, IsVisible):
         return bool(_matching_levels(p.network, ctx.current))
     if isinstance(p, NotVisible):
@@ -576,10 +611,10 @@ def eval_predicate(p: Predicate, ctx: EvalContext) -> bool:
             return False
         far = _matching_levels(p.far, ctx.current)
         return not far or max(near) > max(far)
-    if isinstance(p, FirstVisit):
-        return not _had_previous_visit_overlap(ctx)
-    if isinstance(p, FollowUpVisit):
-        return _had_previous_visit_overlap(ctx)
+    if isinstance(p, (FirstVisit, FollowUpVisit)):
+        if shared.visited is None:
+            shared.visited = _had_previous_visit_overlap(ctx)
+        return shared.visited if isinstance(p, FollowUpVisit) else not shared.visited
     if isinstance(p, TimeWithin):
         tod = ctx.minutes_of_day()
         if p.start <= p.end:
@@ -597,6 +632,7 @@ def eval_predicate(p: Predicate, ctx: EvalContext) -> bool:
     if isinstance(p, InGroupOf):
         if len(ctx.current) == 0:
             return False
+        # Built for every node, so n and t are checked as a lone call checks them.
         params = GroupQueryParams(
             delta=ctx.config.delta,
             omega=ctx.config.omega,
@@ -604,12 +640,21 @@ def eval_predicate(p: Predicate, ctx: EvalContext) -> bool:
             n=p.n,
             min_steps=ctx.config.min_steps,
         )
-        return in_group_of(ctx.log, ctx.device, ctx.now, ctx.current, params)
+        members = shared.members.get(p.t)
+        if members is None:
+            scan = groups.discover_group(ctx.log, ctx.device, ctx.now, ctx.current, params)
+            members = shared.members[p.t] = scan.members
+        return len(members) + 1 >= p.n
     raise TypeError(f"not a predicate: {p!r}")
 
 
 def eval_rules(
     rules: tuple[Rule, ...] | list[Rule], ctx: EvalContext
 ) -> list[tuple[str, str]]:
-    """(rule id, content) for every rule whose condition holds, in order."""
-    return [(r.rule_id, r.content) for r in rules if eval_predicate(r.condition, ctx)]
+    """(rule id, content) for every rule whose condition holds, in order.
+
+    The rules share one group scan per distinct IN_GROUP_OF lookback and one
+    visit check, each made on first need; nothing outlives the call.
+    """
+    shared = _Shared()
+    return [(r.rule_id, r.content) for r in rules if eval_predicate(r.condition, ctx, shared)]

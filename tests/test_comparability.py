@@ -47,8 +47,9 @@ class TestComparable:
         assert not comparable(empty, empty, 100)
 
     def test_omega_must_be_positive(self):
-        with pytest.raises(ValueError):
-            comparable(snapshot({X: -50}), snapshot({X: -50}), 0)
+        for omega in (0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                comparable(snapshot({X: -50}), snapshot({X: -50}), omega)
 
     @given(a=env_strategy, b=env_strategy, omega=st.floats(min_value=0.5, max_value=50))
     def test_symmetric(self, a, b, omega):

@@ -168,6 +168,13 @@ class TestTrack:
         assert track.nearest_in_window(20.0, 5.0) is None
         assert track.nearest_in_window(20.0, 12.0).t == 8.0
 
+    @pytest.mark.parametrize("delta", [-1.0, float("nan")])
+    def test_nearest_in_window_rejects_bad_delta(self, delta):
+        track = ProximityTrack("02:00:00:00:00:01")
+        track.append(Fingerprint(1.0, snapshot({"0a:00:00:00:00:01": -50})))
+        with pytest.raises(ValueError):
+            track.nearest_in_window(1.0, delta)
+
     def test_previous_before_is_strict(self):
         track = ProximityTrack("02:00:00:00:00:01")
         track.append(Fingerprint(5.0, snapshot({"0a:00:00:00:00:01": -50})))
@@ -207,14 +214,29 @@ class TestLog:
         assert "02:00:00:00:00:09" not in log
 
     def test_new_device_leaves_the_old_order_alone(self):
-        # A reader iterating _order while ingest adds a device must not see
-        # the list change under it, so ingest binds a new list.
+        # A device whose id sorts before the last one would shift the entries
+        # of a list a reader is iterating, so ingest binds a new list for it.
         log = ProximityLog()
         put(log, "02:00:00:00:00:02", 1.0, {"0a:00:00:00:00:01": -50})
         before = log._order
         put(log, "02:00:00:00:00:01", 2.0, {"0a:00:00:00:00:01": -50})
         assert before == ["02:00:00:00:00:02"]
         assert log._order == ["02:00:00:00:00:01", "02:00:00:00:00:02"]
+
+    def test_reader_sees_each_device_once_across_a_new_device(self):
+        # A device sorting last is appended to the list a reader iterates;
+        # one sorting first goes into a new list the reader never sees.
+        log = ProximityLog()
+        for device in ("02:00:00:00:00:02", "02:00:00:00:00:03"):
+            put(log, device, 1.0, {"0a:00:00:00:00:01": -50})
+        reader = iter(log._order)
+        seen = [next(reader)]
+        put(log, "02:00:00:00:00:04", 2.0, {"0a:00:00:00:00:01": -50})
+        seen.append(next(reader))
+        put(log, "02:00:00:00:00:01", 3.0, {"0a:00:00:00:00:01": -50})
+        seen += list(reader)
+        assert seen == ["02:00:00:00:00:02", "02:00:00:00:00:03", "02:00:00:00:00:04"]
+        assert log.devices == ["02:00:00:00:00:0" + k for k in "1234"]
 
     def test_track_unknown_device(self):
         log = ProximityLog()

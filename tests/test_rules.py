@@ -2,7 +2,7 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convoylog import (
@@ -31,8 +31,9 @@ from convoylog import (
     parse_rules,
     write_log_jsonl,
 )
-from convoylog import ApObservation, Fingerprint
-from helpers import put, random_snapshot, snapshot
+from convoylog import ApObservation, Fingerprint, groups
+from convoylog import rules as rule_engine
+from helpers import AP_POOL, DEVICE_POOL, put, random_snapshot, snapshot
 
 X = "0a:00:00:00:00:01"
 Y = "0a:00:00:00:00:02"
@@ -332,6 +333,31 @@ class TestVisitHistory:
         ctx = make_ctx(snapshot({X: -59}), now=100.0, log=log)
         assert eval_predicate(FirstVisit(), ctx)
 
+    def test_samples_after_now_join_no_visit(self):
+        log = ProximityLog()
+        put(log, "02:00:00:00:00:01", 0.0, {Y: -60})
+        put(log, "02:00:00:00:00:01", 5000.0, {X: -61})
+        put(log, "02:00:00:00:00:01", 6000.0, {X: -62})  # after `now`
+        put(log, "02:00:00:00:00:01", 9000.0, {X: -63})  # after `now`
+        ctx = make_ctx(snapshot({X: -59}), now=5100.0, log=log)
+        assert eval_predicate(FirstVisit(), ctx)
+
+    def test_sample_at_now_belongs_to_the_current_visit(self):
+        log = ProximityLog()
+        put(log, "02:00:00:00:00:01", 0.0, {Y: -60})
+        put(log, "02:00:00:00:00:01", 5000.0, {X: -61})
+        ctx = make_ctx(snapshot({X: -61}), now=5000.0, log=log)
+        assert eval_predicate(FirstVisit(), ctx)
+
+    def test_gap_of_exactly_session_gap_continues_the_visit(self):
+        log = ProximityLog()
+        put(log, "02:00:00:00:00:01", 0.0, {X: -60})
+        put(log, "02:00:00:00:00:01", 1800.0, {Y: -61})
+        ctx = make_ctx(snapshot({X: -59}), now=3600.0, log=log, session_gap=1800.0)
+        assert eval_predicate(FirstVisit(), ctx)
+        longer = make_ctx(snapshot({X: -59}), now=3600.5, log=log, session_gap=1800.0)
+        assert eval_predicate(FollowUpVisit(), longer)
+
 
 class TestClock:
     def test_time_within_half_open(self):
@@ -446,6 +472,149 @@ class TestEvalRules:
         after = io.StringIO()
         write_log_jsonl(log, after)
         assert before.getvalue() == after.getvalue()
+
+
+def leafwise(p, ctx: EvalContext) -> bool:
+    """p evaluated with a fresh eval_predicate call per leaf, sharing nothing."""
+    if isinstance(p, And):
+        return leafwise(p.left, ctx) and leafwise(p.right, ctx)
+    if isinstance(p, Or):
+        return leafwise(p.left, ctx) or leafwise(p.right, ctx)
+    if isinstance(p, Not):
+        return not leafwise(p.operand, ctx)
+    return eval_predicate(p, ctx)
+
+
+# Few lookbacks, so rulesets repeat them as well as mix them; IN_GROUP_OF
+# is drawn as often as the other leaves together.
+_in_group_of = st.builds(InGroupOf, st.integers(1, 4), st.sampled_from([1, 3, 10, 60]))
+_leaves = st.one_of(
+    _in_group_of,
+    _in_group_of,
+    _in_group_of,
+    st.just(FirstVisit()),
+    st.just(FollowUpVisit()),
+    st.sampled_from([IsVisible(b) for b in AP_POOL[:3]]),
+)
+_conditions = st.recursive(
+    _leaves,
+    lambda kids: st.builds(And, kids, kids) | st.builds(Or, kids, kids) | st.builds(Not, kids),
+    max_leaves=6,
+)
+_rulesets = st.lists(_conditions, min_size=1, max_size=6).map(
+    lambda conditions: tuple(Rule(f"r{i}", c, f"c{i}") for i, c in enumerate(conditions))
+)
+
+# The IN_GROUP_OF and visit rules of the benchmark ruleset (perfbench/workloads.py).
+_SHARED_RULES = """\
+RULE welcome: IF FIRST_VISIT() THEN 'welcome'
+RULE back: IF FOLLOW_UP_VISIT() THEN 'welcome back'
+RULE coupon: IF FOLLOW_UP_VISIT() AND IS_VISIBLE('0a:00:00:00:00:01') THEN 'coupon'
+RULE squad: IF IN_GROUP_OF(3, 60) THEN 'squad deal'
+RULE pair: IF IN_GROUP_OF(2, 60) AND NOT IN_GROUP_OF(4, 60) THEN 'pair deal'
+RULE crew: IF IN_GROUP_OF(3, 300) AND TIME() < '22:00' THEN 'crew deal'
+"""
+
+
+def walking_together(devices: list[str], start: float, end: float) -> ProximityLog:
+    """A log where the devices hear the same access point every 10 s."""
+    log = ProximityLog()
+    for device in devices:
+        t = start
+        while t <= end:
+            put(log, device, t, {X: -50})
+            t += 10.0
+    return log
+
+
+def trailing_companions(rng: random.Random) -> tuple[ProximityLog, str, list[Fingerprint]]:
+    """A querying device, and companions that copied its radio view for its
+    last few samples, a different number each, so that lookbacks of
+    different lengths find different groups. Gaps of 1, 2 or 5 s let short
+    session gaps split the device's history into visits."""
+    user = DEVICE_POOL[0]
+    t, times = 0.0, []
+    for _ in range(rng.randint(2, 8)):
+        times.append(t)
+        t += rng.choice([1.0, 2.0, 5.0])
+    views = [random_snapshot(rng) for _ in times]
+    log = ProximityLog()
+    for t, env in zip(times, views):
+        log.ingest(user, Fingerprint(t, env))
+    for device in DEVICE_POOL[1 : rng.randint(2, 6)]:
+        since = rng.randrange(len(times))
+        for k, (t, env) in enumerate(zip(times, views)):
+            log.ingest(device, Fingerprint(t - rng.uniform(0.0, 0.3), env if k >= since else random_snapshot(rng)))
+    return log, user, log.track(user).samples
+
+
+class TestSharing:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rules=_rulesets,
+        pick=st.integers(0, 7),
+        session_gap=st.sampled_from([1.5, 3.0, 1800.0]),
+    )
+    # Seed 2 puts three companions in the last 3 s and none over 60 s, so a
+    # scan shared between lookbacks, or keyed by n, changes the answers.
+    @example(
+        seed=2,
+        rules=(
+            Rule("short", InGroupOf(3, 3), "s"),
+            Rule("long", InGroupOf(3, 60), "l"),
+            Rule("pair", And(InGroupOf(2, 60), Not(InGroupOf(2, 3))), "p"),
+        ),
+        pick=7,
+        session_gap=1800.0,
+    )
+    def test_eval_rules_matches_fresh_calls(self, seed, rules, pick, session_gap):
+        rng = random.Random(seed)
+        log, user, samples = trailing_companions(rng)
+        # `now` on a logged sample, often with later samples after it.
+        now = samples[pick % len(samples)]
+        ctx = make_ctx(
+            now.env,
+            device=user,
+            now=now.t,
+            log=log,
+            session_gap=session_gap,
+            time_of_day=0,
+            config=EngineConfig(delta=0.5, omega=rng.choice([5.0, 10.0]), min_steps=rng.choice([1, 2])),
+        )
+        expected = [(r.rule_id, r.content) for r in rules if leafwise(r.condition, ctx)]
+        assert eval_rules(rules, ctx) == expected
+
+    def test_one_scan_per_lookback_and_one_visit_check(self, monkeypatch):
+        devices = ["02:00:00:00:00:01", "02:00:00:00:00:02", "02:00:00:00:00:03"]
+        log = walking_together(devices, 0.0, 600.0)
+        scans, checks = [], []
+        discover, visited = groups.discover_group, rule_engine._had_previous_visit_overlap
+
+        def counting_scan(*args):
+            scans.append(args[4].t_max)
+            return discover(*args)
+
+        def counting_check(ctx):
+            checks.append(ctx.now)
+            return visited(ctx)
+
+        monkeypatch.setattr(groups, "discover_group", counting_scan)
+        monkeypatch.setattr(rule_engine, "_had_previous_visit_overlap", counting_check)
+        ctx = make_ctx(snapshot({X: -50}), now=600.0, log=log, time_of_day=12 * 60)
+        fired = eval_rules(parse_rules(_SHARED_RULES), ctx)
+        assert [rule_id for rule_id, _ in fired] == ["welcome", "squad", "pair", "crew"]
+        assert sorted(scans) == [60.0, 300.0]
+        assert checks == [600.0]
+
+    def test_nothing_is_kept_across_calls(self):
+        log = walking_together(["02:00:00:00:00:01", "02:00:00:00:00:02"], 0.0, 600.0)
+        rules = parse_rules("RULE trio: IF IN_GROUP_OF(3, 60) THEN 'x'")
+        ctx = make_ctx(snapshot({X: -50}), now=600.0, log=log)
+        assert eval_rules(rules, ctx) == []
+        for t in range(0, 601, 10):
+            put(log, "02:00:00:00:00:03", float(t), {X: -52})
+        assert eval_rules(rules, ctx) == [("trio", "x")]
 
 
 class TestComplements:

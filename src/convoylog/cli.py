@@ -29,6 +29,7 @@ from .jsonio import read_text, write_jsonl
 from .proximity import (
     Fingerprint,
     ProximityLog,
+    canonical_id,
     read_log_jsonl,
     write_log_jsonl,
 )
@@ -75,6 +76,14 @@ def _options(cls, **values):
         return cls(**values)
     except ValueError as exc:
         raise ConvoylogError(str(exc)) from None
+
+
+def _device(raw: str) -> str:
+    """--device in canonical form; a blank id is a ConvoylogError."""
+    try:
+        return canonical_id(raw)
+    except ValueError as exc:
+        raise ConvoylogError(f"--device: {exc}") from None
 
 
 def _resolve_t0(log: ProximityLog, device: str, raw: str) -> float:
@@ -151,7 +160,7 @@ def cmd_query_group(args: argparse.Namespace) -> int:
         n=args.n,
         min_steps=args.min_steps,
     )
-    device = args.device
+    device = _device(args.device)
     t0 = _resolve_t0(log, device, args.t0)
     e0 = _resolve_snapshot(log, device, t0, params.delta)
     result = discover_group(log, device, e0.t, e0.env, params)
@@ -171,7 +180,7 @@ def cmd_query_group(args: argparse.Namespace) -> int:
 def cmd_eval_rules(args: argparse.Namespace) -> int:
     log = read_log_jsonl(args.log)
     rules = parse_rules(read_text(args.rules))
-    device = args.device
+    device = _device(args.device)
     t0 = _resolve_t0(log, device, args.t0)
     config = _options(EngineConfig, delta=args.delta, omega=args.omega, min_steps=args.min_steps)
     current = _resolve_snapshot(log, device, t0, config.delta)

@@ -29,6 +29,13 @@ Each snapshot builds its bssid -> rssi map once, when it is made, and every
 reader (comparability, rule predicates, visit checks) looks access points up
 there instead of scanning or rebuilding it.
 
+Scans repeat the same readings: an access point heard at the same integer
+level under the same ssid. Observations are immutable, so one log read
+(read_log_jsonl) hands every equal (bssid, rssi, ssid) reading the same
+ApObservation, and so does one simulation. The table that finds them lives
+only for that one call; a record decoded alone (fingerprint_from_json)
+shares nothing, and nothing is kept between calls.
+
 Reads are pure and never mutate the store; a log may serve many concurrent
 readers as long as at most one writer calls ingest at a time.
 """
@@ -38,7 +45,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Iterable, Iterator, KeysView, Mapping
+from collections.abc import Callable, Iterable, Iterator, KeysView, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
@@ -297,6 +304,32 @@ def fingerprint_to_json(device: DeviceId, fp: Fingerprint) -> dict:
 
 def fingerprint_from_json(obj: Mapping) -> tuple[DeviceId, Fingerprint]:
     """Decode one record; raises LogFormatError on shape problems."""
+    return _fingerprint_from_json(obj, ApObservation)
+
+
+def _shared_observations() -> Callable[[str, int, str], ApObservation]:
+    """An ApObservation constructor for one bulk build (a log read, a
+    simulation): equal (bssid, rssi, ssid) readings get one shared object.
+
+    Its table lives as long as the constructor, so drop that with the build.
+    Call it only with values that already passed their type checks: an rssi
+    of True would otherwise find the entry for 1.
+    """
+    shared: dict[tuple[str, int, str], ApObservation] = {}
+
+    def observation(bssid: str, rssi: int, ssid: str) -> ApObservation:
+        key = (bssid, rssi, ssid)
+        obs = shared.get(key)
+        if obs is None:
+            obs = shared[key] = ApObservation(bssid, rssi, ssid)
+        return obs
+
+    return observation
+
+
+def _fingerprint_from_json(
+    obj: Mapping, observation: Callable[[str, int, str], ApObservation]
+) -> tuple[DeviceId, Fingerprint]:
     if not isinstance(obj, Mapping):
         raise LogFormatError("record must be a JSON object")
     device = require(obj, "device", str, "record")
@@ -316,7 +349,7 @@ def fingerprint_from_json(obj: Mapping) -> tuple[DeviceId, Fingerprint]:
             ssid = ap.get("ssid", "")
             if not isinstance(ssid, str):
                 raise LogFormatError("ap: field 'ssid' has wrong type")
-            observations.append(ApObservation(bssid, rssi, ssid))
+            observations.append(observation(bssid, rssi, ssid))
         env = EnvironmentSnapshot(tuple(observations))
         return canonical_id(device), Fingerprint(t=t, env=env)
     except (ValueError, DuplicateBssidError) as exc:
@@ -324,9 +357,13 @@ def fingerprint_from_json(obj: Mapping) -> tuple[DeviceId, Fingerprint]:
 
 
 def read_log_jsonl(source: str | Path | IO[str]) -> ProximityLog:
-    """Read a JSONL proximity log; malformed lines raise line-numbered errors."""
+    """Read a JSONL proximity log; malformed lines raise line-numbered errors.
+
+    Equal readings within the one read share one ApObservation.
+    """
     log = ProximityLog()
-    read_jsonl(source, lambda obj: log.ingest(*fingerprint_from_json(obj)))
+    observation = _shared_observations()
+    read_jsonl(source, lambda obj: log.ingest(*_fingerprint_from_json(obj, observation)))
     return log
 
 

@@ -40,11 +40,11 @@ from typing import IO
 from .errors import InvalidScenarioError, LogFormatError
 from .jsonio import loads, number, opened, read_jsonl, read_text, require, write_jsonl
 from .proximity import (
-    ApObservation,
     DeviceId,
     EnvironmentSnapshot,
     Fingerprint,
     ProximityLog,
+    _shared_observations,
     canonical_id,
 )
 from .trajectories import Point, TrajectoryDb
@@ -286,7 +286,9 @@ def simulate(scenario: MobilityScenario) -> SimulationResult:
 
     Trajectory samples land on grid timestamps 0..steps-1; the fingerprint
     for grid timestamp i carries t = i * sample_interval seconds, so the two
-    views of one sample are index-aligned.
+    views of one sample are index-aligned. Equal readings (bssid, rounded
+    level, ssid) share one ApObservation across the whole result; the table
+    that finds them lives only for this call.
     """
     scenario.validate()
     rng = random.Random(scenario.radio.seed)
@@ -296,6 +298,7 @@ def simulate(scenario: MobilityScenario) -> SimulationResult:
 
     trajectories = TrajectoryDb()
     log = ProximityLog()
+    observation = _shared_observations()
     for i in range(steps):
         t = i * dt
         for device, _, pos_at in riders:
@@ -307,9 +310,7 @@ def simulate(scenario: MobilityScenario) -> SimulationResult:
             for ap in scenario.aps:
                 level = rssi_at(ap, pos, scenario.radio, rng)
                 if level is not None:
-                    observations.append(
-                        ApObservation(bssid=ap.bssid, rssi=round(level), ssid=ap.ssid)
-                    )
+                    observations.append(observation(ap.bssid, round(level), ap.ssid))
             log.ingest(device, Fingerprint(t=t, env=EnvironmentSnapshot(tuple(observations))))
 
     end_t = (steps - 1) * dt

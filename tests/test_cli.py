@@ -421,3 +421,25 @@ def test_undecodable_input_is_one_error_line(tmp_path, command, bad):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+@pytest.mark.parametrize("device", ["", "   "], ids=["empty", "blank"])
+@pytest.mark.parametrize("command", ["query-group", "eval-rules"])
+def test_blank_device_is_one_error_line(tmp_path, command, device):
+    log = tmp_path / "log.jsonl"
+    write_example_log(log)
+    rules = tmp_path / "rules.txt"
+    rules.write_text("RULE r: IF IN_GROUP_OF(2, 20) THEN 'hi'\n")
+    argv = {
+        "query-group": ["query-group", "--log", str(log), "--device", device],
+        "eval-rules": ["eval-rules", "--log", str(log), "--rules", str(rules), "--device", device],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "convoylog.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: --device: identifier must be non-empty"], proc.stderr

@@ -1,4 +1,5 @@
 import io
+import json
 import random
 import re
 
@@ -21,9 +22,12 @@ from convoylog import (
     read_log_jsonl,
     write_log_jsonl,
 )
+from convoylog.proximity import fingerprint_from_json
 from helpers import UNDECODABLE_LINES, jsonl_ending_with, jsonl_text, put, snapshot
 
 RECORD_KEYS = ("device", "t", "aps", "bssid", "rssi", "ssid")
+A, B = "02:00:00:00:00:01", "02:00:00:00:00:02"
+X, Y = "0a:00:00:00:00:01", "0a:00:00:00:00:02"
 
 CANONICAL = r"[0-9a-f]{2}(?::[0-9a-f]{2}){5}"
 NEAR_CANONICAL = r"\s?[0-9a-fA-F\u0661]{2}(?:[:.-]?[0-9a-fA-F]{2}){4,6}[:.-]?\s?"
@@ -374,3 +378,76 @@ class TestJsonl:
             read_log_jsonl(io.StringIO(text))
         except LogFormatError:
             pass
+
+
+def jsonl(*records) -> str:
+    return "".join(json.dumps({"device": d, "t": t, "aps": aps}) + "\n" for d, t, aps in records)
+
+
+def ap(bssid, rssi, ssid="lobby"):
+    return {"ssid": ssid, "bssid": bssid, "rssi": rssi}
+
+
+# Readings in the writer's form or other spellings, so some records repeat an
+# earlier reading exactly, some only up to the float form of rssi or the
+# spelling of the bssid, and some differ in level or ssid alone.
+readings = st.tuples(
+    st.sampled_from([X, Y, X.upper(), "0A-00-00-00-00-02"]),
+    st.integers(-62, -60),
+    st.booleans(),
+    st.sampled_from(["lobby", "hall", ""]),
+)
+
+
+@st.composite
+def log_records(draw):
+    """JSONL lines of a valid log, each device's samples in time order."""
+    lines = []
+    for t in range(draw(st.integers(0, 12))):
+        device = draw(st.sampled_from([A, B, "02-00-00-00-00-03"]))
+        chosen = draw(st.lists(readings, max_size=3, unique_by=lambda r: canonical_id(r[0])))
+        aps = [ap(b, float(r) if as_float else r, ssid) for b, r, as_float, ssid in chosen]
+        lines.append(json.dumps({"device": device, "t": float(t), "aps": aps}))
+    return lines
+
+
+class TestSharedObservations:
+    def test_equal_readings_in_one_read_are_one_object(self):
+        log = read_log_jsonl(io.StringIO(jsonl(
+            (A, 1.0, [ap(X, -50), ap(Y, -60)]),
+            (B, 1.0, [ap(X, -50)]),
+            (A, 2.0, [ap(X, -51), ap(Y, -60, "hall")]),
+            (B, 2.0, [ap(X, -50.0)]),
+        )))
+        (a1, a2), (b1, b2) = ([fp.env.observations for fp in log.track(d)] for d in (A, B))
+        assert a1[0] is b1[0] is b2[0]
+        assert a2[0] is not a1[0] and a2[0] == ApObservation(X, -51, "lobby")
+        assert a2[1] is not a1[1] and a2[1] == ApObservation(Y, -60, "hall")
+
+    def test_nothing_is_shared_across_reads(self):
+        text = jsonl((A, 1.0, [ap(X, -50)]))
+        first, second = (read_log_jsonl(io.StringIO(text)).track(A).last() for _ in range(2))
+        assert first.env.observations[0] is not second.env.observations[0]
+        record = json.loads(text)
+        assert fingerprint_from_json(record)[1] is not fingerprint_from_json(record)[1]
+
+    @pytest.mark.parametrize("rssi", ["true", "1.5"])
+    def test_rssi_is_checked_before_an_earlier_equal_reading_is_found(self, rssi):
+        text = (
+            f'{{"device": "{A}", "t": 1.0, "aps": [{{"bssid": "{X}", "rssi": 1}}]}}\n'
+            f'{{"device": "{A}", "t": 2.0, "aps": [{{"bssid": "{X}", "rssi": {rssi}}}]}}\n'
+        )
+        with pytest.raises(LogFormatError) as err:
+            read_log_jsonl(io.StringIO(text))
+        assert err.value.line == 2
+
+    @given(log_records())
+    def test_shared_read_writes_what_decoding_each_record_alone_writes(self, lines):
+        shared = io.StringIO()
+        write_log_jsonl(read_log_jsonl(io.StringIO("".join(line + "\n" for line in lines))), shared)
+        alone_log = ProximityLog()
+        for line in lines:
+            alone_log.ingest(*fingerprint_from_json(json.loads(line)))
+        alone = io.StringIO()
+        write_log_jsonl(alone_log, alone)
+        assert shared.getvalue() == alone.getvalue()

@@ -255,6 +255,13 @@ class TestSimulate:
         assert render(noisy) == render(corridor_scenario(seed=13, noise_sigma_db=2.0))
         assert render(noisy) != render(corridor_scenario(seed=14, noise_sigma_db=2.0))
 
+    def test_one_object_per_distinct_reading(self):
+        log = simulate(corridor_scenario()).proximity
+        observations = [o for d in log.devices for fp in log.track(d) for o in fp.env.observations]
+        readings = {(o.bssid, o.rssi, o.ssid) for o in observations}
+        assert len(observations) > len(readings)
+        assert len({id(o) for o in observations}) == len(readings)
+
     def test_dropout_skips_cycles_deterministically(self):
         scenario = tiny_scenario(duration=30.0, dropout_rate=0.4)
         first = simulate(scenario)

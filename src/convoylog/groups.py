@@ -22,6 +22,15 @@ the whole lookback. A result is trusted only when enough of the device's own
 history was seen: fewer than min_steps processed samples yields an empty
 member set (steps_processed still reports the evidence count).
 
+Lookbacks nest: a shorter lookback's walk is a prefix of a longer one's,
+with the same seeds and the same decision at every step. So the walk records
+the time of each step it processed and of the step at which each candidate
+dropped, and one walk answers every shorter lookback too (_Walk.members).
+discover_group makes one walk per call and keeps no record. The rule engine
+makes one walk per evaluation, at the ruleset's longest IN_GROUP_OF
+lookback, even when only a shorter one is asked; the walk still stops when
+its candidates run out.
+
 The scan never raises for a device absent from the log; an absent device
 simply has no previous samples, so the walk ends at the seed step.
 """
@@ -38,7 +47,21 @@ from .proximity import (
     ProximityLog,
     ProximityTrack,
     canonical_id,
+    finite_time,
 )
+
+
+def check_thresholds(delta: float, omega: float, min_steps: int) -> None:
+    """ValueError unless the tolerances and the evidence floor are usable.
+
+    Shared by GroupQueryParams and the rule engine's EngineConfig.
+    """
+    if not delta >= 0:
+        raise ValueError(f"delta must be non-negative, got {delta}")
+    if not omega > 0:
+        raise ValueError(f"omega must be positive, got {omega}")
+    if min_steps < 1:
+        raise ValueError(f"min_steps must be at least 1, got {min_steps}")
 
 
 @dataclass(frozen=True)
@@ -62,16 +85,11 @@ class GroupQueryParams:
     min_steps: int = 2
 
     def __post_init__(self):
-        if not self.delta >= 0:
-            raise ValueError(f"delta must be non-negative, got {self.delta}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        check_thresholds(self.delta, self.omega, self.min_steps)
         if not self.t_max > 0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
-        if self.min_steps < 1:
-            raise ValueError(f"min_steps must be at least 1, got {self.min_steps}")
 
 
 @dataclass(frozen=True)
@@ -91,6 +109,79 @@ class GroupResult:
     oldest_step_time: float
 
 
+class _Walk:
+    """What one backward walk saw, enough to answer any lookback up to its own.
+
+    survivors: candidates that matched at every processed step.
+    dropped: each other seeded candidate, with the time of the step at which
+        it dropped.
+    steps: times of the processed own samples after the seed step, newest
+        first.
+    """
+
+    __slots__ = ("survivors", "dropped", "steps")
+
+    def __init__(self) -> None:
+        self.survivors: dict[DeviceId, ProximityTrack] = {}
+        self.dropped: dict[DeviceId, float] = {}
+        self.steps: list[float] = []
+
+    def members(self, horizon: float, min_steps: int) -> frozenset[DeviceId]:
+        """The members of a scan from the same t0 back to horizon, which must
+        not lie before the walk's own.
+
+        Such a scan processes the steps at or after horizon and makes the same
+        decision at each, so it keeps the survivors and every candidate that
+        dropped before horizon. It saw fewer than min_steps samples unless
+        the (min_steps - 1)-th step lies at or after horizon.
+        """
+        k = min_steps - 1
+        if k > 0 and (len(self.steps) < k or self.steps[k - 1] < horizon):
+            return frozenset()
+        return frozenset(self.survivors).union(
+            device for device, t in self.dropped.items() if t < horizon
+        )
+
+
+def _walk(
+    log: ProximityLog,
+    user: DeviceId,
+    t0: float,
+    e0: EnvironmentSnapshot,
+    delta: float,
+    omega: float,
+    horizon: float,
+) -> _Walk:
+    """Seed candidates around (t0, e0), then walk the user's own samples back
+    to horizon, dropping candidates as the module docstring describes.
+
+    user must be canonical and e0 non-empty.
+    """
+    walk = _Walk()
+    cands, dropped, steps = walk.survivors, walk.dropped, walk.steps
+    for device, fp in log.measurements_in_window(t0 - delta, t0, exclude=user):
+        if comparable(fp.env, e0, omega):
+            cands[device] = log.track(device)
+
+    if cands and user in log:
+        user_track = log.track(user)
+        t = t0
+        while t > horizon:
+            prev = user_track.previous_before(t)
+            if prev is None or prev.t < horizon:
+                break
+            t, env = prev.t, prev.env
+            steps.append(t)
+            for device, track in list(cands.items()):
+                fp = track.nearest_in_window(t, delta)
+                if fp is None or not comparable(fp.env, env, omega):
+                    del cands[device]
+                    dropped[device] = t
+            if not cands:
+                break
+    return walk
+
+
 def discover_group(
     log: ProximityLog,
     user: DeviceId,
@@ -100,42 +191,23 @@ def discover_group(
 ) -> GroupResult:
     """Backward scan for devices that shared the user's radio environment.
 
-    t0 is the query time and e0 the user's snapshot at that time; e0 must
-    be non-empty (EmptyEnvironmentError otherwise) since an empty snapshot
-    is comparable with nothing. A logged sample used as e0 must be queried
-    at its own time, or the walk counts it again as a history step.
+    t0 is the query time, which must be finite (ValueError otherwise), and
+    e0 the user's snapshot at that time; e0 must be non-empty
+    (EmptyEnvironmentError otherwise) since an empty snapshot is comparable
+    with nothing. A logged sample used as e0 must be queried at its own
+    time, or the walk counts it again as a history step.
     """
     if len(e0) == 0:
         raise EmptyEnvironmentError("query snapshot has no visible networks")
-    user = canonical_id(user)
-    horizon = t0 - params.t_max
-
-    cands: dict[DeviceId, ProximityTrack] = {}
-    for device, fp in log.measurements_in_window(t0 - params.delta, t0, exclude=user):
-        if comparable(fp.env, e0, params.omega):
-            cands[device] = log.track(device)
-
-    steps = 1
-    oldest = t0
-    if cands:
-        t = t0
-        user_track = log.track(user) if user in log else None
-        while t > horizon:
-            prev = user_track.previous_before(t) if user_track is not None else None
-            if prev is None or prev.t < horizon:
-                break
-            t, env = prev.t, prev.env
-            steps += 1
-            oldest = t
-            for device, track in list(cands.items()):
-                fp = track.nearest_in_window(t, params.delta)
-                if fp is None or not comparable(fp.env, env, params.omega):
-                    del cands[device]
-            if not cands:
-                break
-
-    members = frozenset(cands) if steps >= params.min_steps else frozenset()
-    return GroupResult(members=members, steps_processed=steps, oldest_step_time=oldest)
+    t0 = finite_time(t0, "t0")
+    walk = _walk(log, canonical_id(user), t0, e0, params.delta, params.omega, t0 - params.t_max)
+    steps = 1 + len(walk.steps)
+    members = frozenset(walk.survivors) if steps >= params.min_steps else frozenset()
+    return GroupResult(
+        members=members,
+        steps_processed=steps,
+        oldest_step_time=walk.steps[-1] if walk.steps else t0,
+    )
 
 
 def in_group_of(

@@ -70,6 +70,17 @@ def looks_like_hw_addr(value: str) -> bool:
     return bool(_HW_ADDR.match(value.strip().lower().translate(_SEPARATORS)))
 
 
+def finite_time(value: float, name: str) -> float:
+    """value as a finite float; ValueError naming it otherwise."""
+    try:
+        t = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} out of float range") from None
+    if not math.isfinite(t):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return t
+
+
 def canonical_id(value: str) -> str:
     """Normalize a device or access-point identifier.
 
@@ -150,13 +161,7 @@ class Fingerprint:
     env: EnvironmentSnapshot
 
     def __post_init__(self):
-        try:
-            t = float(self.t)
-        except OverflowError:
-            raise ValueError("timestamp out of float range") from None
-        if not math.isfinite(t):
-            raise ValueError(f"timestamp must be finite, got {self.t!r}")
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", finite_time(self.t, "timestamp"))
 
 
 class ProximityTrack:

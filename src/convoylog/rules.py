@@ -25,12 +25,16 @@ snapshot. Thresholds that tune group discovery (time and RSSI tolerances)
 are engine configuration, not rule text: rule authors say "n devices over
 the last t seconds" and operators own the radio calibration.
 
-Within one eval_rules call the rules share their costly answers: one
-discover_group scan per distinct IN_GROUP_OF lookback, which answers every
-group size n on that lookback (a scan's members do not depend on n), and
-one visit check for FIRST_VISIT and FOLLOW_UP_VISIT. Each is made on first
-need and dropped when the call returns; nothing is kept across calls, since
-the log may change between evaluations.
+Within one eval_rules call the rules share their costly answers: one group
+walk and one visit check for FIRST_VISIT and FOLLOW_UP_VISIT. Lookbacks
+nest, so the walk goes back to the ruleset's longest IN_GROUP_OF lookback
+and answers every lookback and every group size n from what it recorded,
+exactly as a scan per lookback would. The trade-off: a ruleset whose longest
+lookback sits behind a rarely true guard now walks that far whenever any
+group predicate is evaluated, though the walk still stops when its
+candidates run out. Each shared answer is made on first need and dropped
+when the call returns; nothing is kept across calls, since the log may
+change between evaluations.
 
 Rulesets are immutable after parsing and evaluation is pure, so one parsed
 ruleset may serve concurrent evaluations against a shared log snapshot.
@@ -46,14 +50,15 @@ from operator import attrgetter
 from . import groups
 from .errors import DuplicateRuleIdError, RuleSyntaxError
 # rules.in_group_of stays bound because perfbench/tracing.py wraps it by that
-# name. Evaluation calls groups.discover_group through the module instead, to
-# share one scan per lookback; a wrapped groups.discover_group still sees it.
-from .groups import GroupQueryParams, in_group_of
+# name. Evaluation calls groups._walk through the module instead, to share one
+# walk between all its lookbacks.
+from .groups import check_thresholds, in_group_of
 from .proximity import (
     DeviceId,
     EnvironmentSnapshot,
     ProximityLog,
     canonical_id,
+    finite_time,
     looks_like_hw_addr,
 )
 
@@ -112,8 +117,16 @@ class TimeCompare(Predicate):
 
 @dataclass(frozen=True)
 class InGroupOf(Predicate):
+    """At least n devices, the querying one included, over the last t seconds."""
+
     n: int
     t: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
+        if not self.t > 0:
+            raise ValueError(f"t must be positive, got {self.t}")
 
 
 @dataclass(frozen=True)
@@ -496,12 +509,7 @@ class EngineConfig:
     min_steps: int = 2
 
     def __post_init__(self):
-        if not self.delta >= 0:
-            raise ValueError(f"delta must be non-negative, got {self.delta}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.min_steps < 1:
-            raise ValueError(f"min_steps must be at least 1, got {self.min_steps}")
+        check_thresholds(self.delta, self.omega, self.min_steps)
 
 
 @dataclass(frozen=True)
@@ -509,9 +517,9 @@ class EvalContext:
     """Everything a condition may look at for one device at one moment.
 
     current is the device's radio view at now (the live snapshot or the
-    logged sample); log carries its history. time_of_day, in minutes since
-    midnight, is derived from now unless set explicitly (set it when `now`
-    is not epoch-based).
+    logged sample); log carries its history. now must be finite. time_of_day,
+    in minutes since midnight, is derived from now unless set explicitly
+    (set it when `now` is not epoch-based).
     """
 
     device: DeviceId
@@ -524,6 +532,7 @@ class EvalContext:
 
     def __post_init__(self):
         object.__setattr__(self, "device", canonical_id(self.device))
+        object.__setattr__(self, "now", finite_time(self.now, "now"))
         if not self.session_gap > 0:
             raise ValueError(f"session_gap must be positive, got {self.session_gap}")
         if self.time_of_day is not None and not 0 <= self.time_of_day < 1440:
@@ -572,18 +581,29 @@ def _had_previous_visit_overlap(ctx: EvalContext) -> bool:
     return False
 
 
+def _longest_lookback(p: Predicate) -> int:
+    """The longest IN_GROUP_OF lookback in a condition, 0 when it has none."""
+    if isinstance(p, (And, Or)):
+        return max(_longest_lookback(p.left), _longest_lookback(p.right))
+    if isinstance(p, Not):
+        return _longest_lookback(p.operand)
+    return p.t if isinstance(p, InGroupOf) else 0
+
+
 class _Shared:
     """Answers the predicates of one eval_rules call share.
 
-    members maps an IN_GROUP_OF lookback to its scan's members; visited is
-    the visit check's answer once made. eval_rules makes one per call and
-    keeps none, because the log may change between evaluations.
+    rules is the ruleset under evaluation; walk is the group walk back to
+    its longest IN_GROUP_OF lookback, and visited the visit check's answer,
+    once made. eval_rules makes one per call and keeps none, because the
+    log may change between evaluations.
     """
 
-    __slots__ = ("members", "visited")
+    __slots__ = ("rules", "walk", "visited")
 
-    def __init__(self) -> None:
-        self.members: dict[int, frozenset[DeviceId]] = {}
+    def __init__(self, rules: tuple[Rule, ...] | list[Rule] = ()) -> None:
+        self.rules = rules
+        self.walk: groups._Walk | None = None
         self.visited: bool | None = None
 
 
@@ -632,19 +652,13 @@ def eval_predicate(p: Predicate, ctx: EvalContext, shared: _Shared | None = None
     if isinstance(p, InGroupOf):
         if len(ctx.current) == 0:
             return False
-        # Built for every node, so n and t are checked as a lone call checks them.
-        params = GroupQueryParams(
-            delta=ctx.config.delta,
-            omega=ctx.config.omega,
-            t_max=float(p.t),
-            n=p.n,
-            min_steps=ctx.config.min_steps,
-        )
-        members = shared.members.get(p.t)
-        if members is None:
-            scan = groups.discover_group(ctx.log, ctx.device, ctx.now, ctx.current, params)
-            members = shared.members[p.t] = scan.members
-        return len(members) + 1 >= p.n
+        config = ctx.config
+        if shared.walk is None:
+            longest = max([p.t, *(_longest_lookback(r.condition) for r in shared.rules)])
+            shared.walk = groups._walk(
+                ctx.log, ctx.device, ctx.now, ctx.current, config.delta, config.omega, ctx.now - longest
+            )
+        return len(shared.walk.members(ctx.now - p.t, config.min_steps)) + 1 >= p.n
     raise TypeError(f"not a predicate: {p!r}")
 
 
@@ -653,8 +667,9 @@ def eval_rules(
 ) -> list[tuple[str, str]]:
     """(rule id, content) for every rule whose condition holds, in order.
 
-    The rules share one group scan per distinct IN_GROUP_OF lookback and one
-    visit check, each made on first need; nothing outlives the call.
+    The rules share one group walk, back to their longest IN_GROUP_OF
+    lookback, and one visit check, each made on first need; nothing
+    outlives the call.
     """
-    shared = _Shared()
+    shared = _Shared(rules)
     return [(r.rule_id, r.content) for r in rules if eval_predicate(r.condition, ctx, shared)]

@@ -166,6 +166,9 @@ class TestDiscoverGroup:
         for bad in (dict(delta=nan), dict(omega=nan), dict(t_max=nan)):
             with pytest.raises(ValueError):
                 GroupQueryParams(**{"delta": 1, "omega": 10, "t_max": 20, "n": 2, **bad})
+        for t0 in (nan, float("inf"), float("-inf"), 10**400):
+            with pytest.raises(ValueError):
+                discover_group(example_log(), A, t0, snapshot({X: -50}), example_params())
 
 
 class TestInGroupOf:

@@ -31,7 +31,7 @@ from convoylog import (
     parse_rules,
     write_log_jsonl,
 )
-from convoylog import ApObservation, Fingerprint, groups
+from convoylog import ApObservation, Fingerprint, GroupQueryParams, groups
 from convoylog import rules as rule_engine
 from helpers import AP_POOL, DEVICE_POOL, put, random_snapshot, snapshot
 
@@ -118,6 +118,9 @@ class TestParse:
             parse_rules("RULE r: IF IN_GROUP_OF(0, 60) THEN 'x'")
         with pytest.raises(RuleSyntaxError):
             parse_rules("RULE r: IF IN_GROUP_OF(2, 0) THEN 'x'")
+        for n, t in ((0, 60), (2, 0), (2, float("nan"))):
+            with pytest.raises(ValueError):
+                InGroupOf(n, t)
 
     def test_oversized_integer_literals(self):
         # 5000 digits exceed the interpreter's int-parsing limit; a 400-digit
@@ -399,6 +402,9 @@ class TestClock:
             make_ctx(time_of_day=1440)
         with pytest.raises(ValueError):
             make_ctx(session_gap=float("nan"))
+        for now in (float("nan"), float("inf"), float("-inf"), 10**400):
+            with pytest.raises(ValueError):
+                make_ctx(now=now)
 
     def test_engine_config_validation(self):
         nan = float("nan")
@@ -475,13 +481,18 @@ class TestEvalRules:
 
 
 def leafwise(p, ctx: EvalContext) -> bool:
-    """p evaluated with a fresh eval_predicate call per leaf, sharing nothing."""
+    """p evaluated with a fresh call per leaf, sharing nothing: a group scan
+    of the leaf's own lookback for IN_GROUP_OF, eval_predicate otherwise."""
     if isinstance(p, And):
         return leafwise(p.left, ctx) and leafwise(p.right, ctx)
     if isinstance(p, Or):
         return leafwise(p.left, ctx) or leafwise(p.right, ctx)
     if isinstance(p, Not):
         return not leafwise(p.operand, ctx)
+    if isinstance(p, InGroupOf):
+        config = ctx.config
+        params = GroupQueryParams(config.delta, config.omega, float(p.t), p.n, config.min_steps)
+        return len(ctx.current) > 0 and groups.in_group_of(ctx.log, ctx.device, ctx.now, ctx.current, params)
     return eval_predicate(p, ctx)
 
 
@@ -568,6 +579,38 @@ class TestSharing:
         pick=7,
         session_gap=1800.0,
     )
+    # Seed 1 at t=6 has an own sample at 5, exactly 1 s back, where one of
+    # four companions drops; the 1 s lookback must leave it out.
+    @example(
+        seed=1,
+        rules=(
+            Rule("five", InGroupOf(5, 1), "5"),
+            Rule("four", InGroupOf(4, 1), "4"),
+            Rule("long", InGroupOf(2, 10), "l"),
+        ),
+        pick=2,
+        session_gap=1800.0,
+    )
+    # Seed 0 at t=16 with min_steps=2 has no own sample in the last 1 s but
+    # one at 14, so only the 3 s lookback has enough evidence for its member.
+    @example(
+        seed=0,
+        rules=(Rule("short", InGroupOf(2, 1), "s"), Rule("long", InGroupOf(2, 3), "l")),
+        pick=7,
+        session_gap=1800.0,
+    )
+    # Seed 0 at t=16 loses its last candidate at 12, between the 3 s and the
+    # 10 s horizons, so the walk stops there and the 3 s lookback keeps it.
+    @example(
+        seed=0,
+        rules=(
+            Rule("short", InGroupOf(2, 3), "s"),
+            Rule("long", InGroupOf(2, 10), "l"),
+            Rule("both", And(InGroupOf(2, 3), Not(InGroupOf(2, 10))), "b"),
+        ),
+        pick=7,
+        session_gap=1800.0,
+    )
     def test_eval_rules_matches_fresh_calls(self, seed, rules, pick, session_gap):
         rng = random.Random(seed)
         log, user, samples = trailing_companions(rng)
@@ -585,26 +628,27 @@ class TestSharing:
         expected = [(r.rule_id, r.content) for r in rules if leafwise(r.condition, ctx)]
         assert eval_rules(rules, ctx) == expected
 
-    def test_one_scan_per_lookback_and_one_visit_check(self, monkeypatch):
+    def test_one_walk_per_evaluation_and_one_visit_check(self, monkeypatch):
         devices = ["02:00:00:00:00:01", "02:00:00:00:00:02", "02:00:00:00:00:03"]
         log = walking_together(devices, 0.0, 600.0)
-        scans, checks = [], []
-        discover, visited = groups.discover_group, rule_engine._had_previous_visit_overlap
+        walks, checks = [], []
+        walk, visited = groups._walk, rule_engine._had_previous_visit_overlap
 
-        def counting_scan(*args):
-            scans.append(args[4].t_max)
-            return discover(*args)
+        def counting_walk(log, user, t0, *rest):
+            walks.append(t0 - rest[-1])
+            return walk(log, user, t0, *rest)
 
         def counting_check(ctx):
             checks.append(ctx.now)
             return visited(ctx)
 
-        monkeypatch.setattr(groups, "discover_group", counting_scan)
+        monkeypatch.setattr(groups, "_walk", counting_walk)
         monkeypatch.setattr(rule_engine, "_had_previous_visit_overlap", counting_check)
         ctx = make_ctx(snapshot({X: -50}), now=600.0, log=log, time_of_day=12 * 60)
         fired = eval_rules(parse_rules(_SHARED_RULES), ctx)
         assert [rule_id for rule_id, _ in fired] == ["welcome", "squad", "pair", "crew"]
-        assert sorted(scans) == [60.0, 300.0]
+        # One walk, back to the longest lookback, answers the 60 s rules too.
+        assert walks == [300.0]
         assert checks == [600.0]
 
     def test_nothing_is_kept_across_calls(self):

@@ -54,13 +54,12 @@ def comparable(a: EnvironmentSnapshot, b: EnvironmentSnapshot, omega: float) -> 
     """True when some shared access point differs by less than omega dB."""
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    if len(b) < len(a):
-        a, b = b, a
-    levels = b.levels
     for o in a.observations:
-        other = levels.get(o.bssid)
-        if other is not None and abs(o.rssi - other) < omega:
-            return True
+        for other in b.observations:
+            if other.bssid == o.bssid:
+                if abs(o.rssi - other.rssi) < omega:
+                    return True
+                break
     return False
 
 

@@ -25,10 +25,6 @@ fullmatch and comes back as the same object; only other spellings pay for
 the full normalization, so decoding and ingesting a written log re-checks
 each id but rebuilds none.
 
-Each snapshot builds its bssid -> rssi map once, when it is made, and every
-reader (comparability, rule predicates, visit checks) looks access points up
-there instead of scanning or rebuilding it.
-
 Scans repeat the same readings: an access point heard at the same integer
 level under the same ssid. Observations are immutable, so one log read
 (read_log_jsonl) hands every equal (bssid, rssi, ssid) reading the same
@@ -45,8 +41,8 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Callable, Iterable, Iterator, KeysView, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
@@ -124,30 +120,31 @@ class EnvironmentSnapshot:
     """The set of access points visible in one measurement.
 
     At most one observation per bssid; an empty snapshot means the device
-    heard nothing, which is valid data. levels maps each bssid to its rssi;
-    it is derived from observations and takes no part in repr, == or hash.
+    heard nothing, which is valid data.
     """
 
     observations: tuple[ApObservation, ...] = ()
-    levels: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = tuple(self.observations)
         object.__setattr__(self, "observations", obs)
-        levels: dict[str, int] = {}
+        seen: set[str] = set()
         for o in obs:
-            if o.bssid in levels:
+            if o.bssid in seen:
                 raise DuplicateBssidError(f"duplicate access point {o.bssid}")
-            levels[o.bssid] = o.rssi
-        object.__setattr__(self, "levels", levels)
+            seen.add(o.bssid)
 
     def rssi(self, bssid: str) -> int | None:
         """Signal strength of one access point, or None if it is not visible."""
-        return self.levels.get(canonical_id(bssid))
+        bssid = canonical_id(bssid)
+        for o in self.observations:
+            if o.bssid == bssid:
+                return o.rssi
+        return None
 
     @property
-    def bssids(self) -> KeysView[str]:
-        return self.levels.keys()
+    def bssids(self) -> frozenset[str]:
+        return frozenset(o.bssid for o in self.observations)
 
     def __len__(self) -> int:
         return len(self.observations)

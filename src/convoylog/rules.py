@@ -13,10 +13,11 @@ rule per statement:
             | TIME_WITHIN('HH:MM', 'HH:MM') | TIME() <relop> 'HH:MM'
             | IN_GROUP_OF(<n>, <seconds>)
 
-AND binds tighter than OR, NOT tighter than both. A <net> reference names a
-network by ssid text, or by hardware address when it is shaped like one
-(12 hex digits with separators). Strings take single or double quotes with
-backslash escapes.
+AND binds tighter than OR, NOT tighter than both. A condition nests at most
+MAX_NESTING levels deep, counting parentheses, NOT and each AND or OR. A
+<net> reference names a network by ssid text, or by hardware address when it
+is shaped like one (12 hex digits with separators). Strings take single or
+double quotes with backslash escapes.
 
 Predicate semantics live in eval_predicate; evaluation never raises on
 odd context (no visible networks, unknown device, empty history), it just
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -270,10 +272,18 @@ def _tokenize(text: str) -> list[_Token]:
 # --- Parser ------------------------------------------------------------------
 
 
+# The deepest condition the parser accepts. Each pair of parentheses, each
+# NOT and each AND or OR adds a level to everything below it, so a chain of k
+# operands takes k - 1 levels. Every reader of the condition tree recurses
+# once per level; this keeps them all far from Python's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0  # parentheses and NOTs around the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -310,35 +320,53 @@ class _Parser:
         rule_id = self.expect("ident", "rule id").text
         self.expect(":")
         self.expect("IF")
-        condition = self.parse_expr()
+        condition, _ = self.parse_expr()
         self.expect("THEN")
         content = self.expect("string", "quoted content").text
         return Rule(rule_id=rule_id, condition=condition, content=content)
 
-    def parse_expr(self) -> Predicate:
-        node = self.parse_and()
-        while self.peek().kind == "OR":
-            self.advance()
-            node = Or(node, self.parse_and())
-        return node
+    def nest(self, tok: _Token, depth: int) -> int:
+        """depth; a RuleSyntaxError at tok when the open levels plus depth
+        exceed MAX_NESTING."""
+        if self.open + depth > MAX_NESTING:
+            raise RuleSyntaxError(
+                f"condition nests deeper than {MAX_NESTING} levels", tok.line, tok.column
+            )
+        return depth
 
-    def parse_and(self) -> Predicate:
-        node = self.parse_unary()
-        while self.peek().kind == "AND":
-            self.advance()
-            node = And(node, self.parse_unary())
-        return node
+    # Each parse_* below returns a condition and its depth in levels.
 
-    def parse_unary(self) -> Predicate:
-        if self.peek().kind == "NOT":
-            self.advance()
-            return Not(self.parse_unary())
-        if self.peek().kind == "(":
-            self.advance()
-            node = self.parse_expr()
+    def parse_expr(self) -> tuple[Predicate, int]:
+        return self.parse_chain("OR", Or, self.parse_and)
+
+    def parse_and(self) -> tuple[Predicate, int]:
+        return self.parse_chain("AND", And, self.parse_unary)
+
+    def parse_chain(
+        self, op: str, make: type[And] | type[Or], operand: Callable[[], tuple[Predicate, int]]
+    ) -> tuple[Predicate, int]:
+        node, depth = operand()
+        while self.peek().kind == op:
+            tok = self.advance()
+            right, right_depth = operand()
+            node, depth = make(node, right), self.nest(tok, 1 + max(depth, right_depth))
+        return node, depth
+
+    def parse_unary(self) -> tuple[Predicate, int]:
+        tok = self.peek()
+        if tok.kind not in ("NOT", "("):
+            return self.parse_term(), 0
+        self.advance()
+        self.nest(tok, 1)
+        self.open += 1
+        if tok.kind == "NOT":
+            node, depth = self.parse_unary()
+            node = Not(node)
+        else:
+            node, depth = self.parse_expr()
             self.expect(")")
-            return node
-        return self.parse_term()
+        self.open -= 1
+        return node, 1 + depth
 
     def parse_term(self) -> Predicate:
         tok = self.peek()
@@ -576,8 +604,9 @@ def _had_previous_visit_overlap(ctx: EvalContext) -> bool:
         edge = samples[i].t
         i -= 1
     for j in range(i, -1, -1):
-        if not current_ids.isdisjoint(samples[j].env.levels):
-            return True
+        for o in samples[j].env.observations:
+            if o.bssid in current_ids:
+                return True
     return False
 
 

@@ -154,17 +154,14 @@ class TrajectoryDb:
                 out.append((obj, p))
         return out
 
+    def timestamps(self) -> list[int]:
+        """Grid timestamps with any sample, in increasing order."""
+        return sorted({t for samples in self._objects.values() for t in samples})
+
     def time_range(self) -> tuple[int, int] | None:
         """(earliest, latest) grid timestamp with any sample, or None."""
-        lo: int | None = None
-        hi: int | None = None
-        for samples in self._objects.values():
-            for t in samples:
-                lo = t if lo is None or t < lo else lo
-                hi = t if hi is None or t > hi else hi
-        if lo is None or hi is None:
-            return None
-        return lo, hi
+        times = self.timestamps()
+        return (times[0], times[-1]) if times else None
 
 
 def neighborhood(
@@ -232,17 +229,23 @@ def discover_convoys(db: TrajectoryDb, params: ConvoyParams) -> list[Convoy]:
     """All maximal convoys of at least m objects lasting at least k steps.
 
     Scans the grid once, carrying candidate groups forward by intersection
-    with each timestamp's clusters; every grid timestamp between the first
-    and last sample is visited, so a gap with no data ends all runs.
+    with each timestamp's clusters. Only timestamps with samples are visited;
+    a gap with no data between two of them ends all runs, as a visited empty
+    timestamp would.
     """
-    span = db.time_range()
-    if span is None:
-        return []
-    t_lo, t_hi = span
-
     found: set[tuple[frozenset[ObjectId], int, int]] = set()
+
+    def end_runs(cands: dict[frozenset[ObjectId], int], end: int) -> None:
+        for members, start in cands.items():
+            if end - start + 1 >= params.k:
+                found.add((members, start, end))
+
     cands: dict[frozenset[ObjectId], int] = {}
-    for t in range(t_lo, t_hi + 1):
+    prev = None
+    for t in db.timestamps():
+        if cands and t != prev + 1:
+            end_runs(cands, prev)
+            cands = {}
         clusters = density_clusters(db.positions_at(t), params.e, params.m)
         nxt: dict[frozenset[ObjectId], int] = {}
         for members, start in cands.items():
@@ -260,9 +263,8 @@ def discover_convoys(db: TrajectoryDb, params: ConvoyParams) -> list[Convoy]:
             if cluster not in nxt:
                 nxt[cluster] = t
         cands = nxt
-    for members, start in cands.items():
-        if t_hi - start + 1 >= params.k:
-            found.add((members, start, t_hi))
+        prev = t
+    end_runs(cands, prev)
 
     def dominated(c: tuple[frozenset[ObjectId], int, int]) -> bool:
         members, start, end = c

@@ -317,6 +317,19 @@ class TestEvalRules:
         assert code == 1
         assert "line 1" in err and "column" in err
 
+    def test_too_deep_condition_is_one_error_line(self, tmp_path, capsys):
+        log_path = tmp_path / "log.jsonl"
+        self.write_cafe_log(log_path)
+        rules_path = tmp_path / "rules.txt"
+        rules_path.write_text("RULE r: IF " + "NOT " * 3000 + "IS_VISIBLE('x') THEN 'x'\n")
+        code, stdout, err = run(
+            capsys, "eval-rules", "--log", str(log_path), "--rules", str(rules_path), "--device", A
+        )
+        assert code == 1
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "nests deeper" in err
+
 
 class TestConvoyBaseline:
     def test_fig4_pairs(self, tmp_path, capsys):

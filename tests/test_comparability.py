@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convoylog import (
+    ApObservation,
     ComparabilityParams,
     EmptyTrackError,
     EnvironmentSnapshot,
@@ -18,11 +19,21 @@ from helpers import random_snapshot, snapshot
 X = "0a:00:00:00:00:01"
 Y = "0a:00:00:00:00:02"
 
-env_strategy = st.dictionaries(
-    st.sampled_from([f"0a:00:00:00:00:{i:02x}" for i in range(1, 5)]),
+BSSID_POOL = [f"0a:00:00:00:00:{i:02x}" for i in range(1, 9)]
+
+# bssid -> rssi maps over a pool larger than one snapshot, so that two drawn
+# snapshots can share some access points and miss others.
+level_maps = st.dictionaries(
+    st.sampled_from(BSSID_POOL),
     st.integers(min_value=-95, max_value=-30),
-    max_size=4,
-).map(snapshot)
+    max_size=5,
+)
+env_strategy = level_maps.map(snapshot)
+
+
+def dashed(bssid: str) -> str:
+    """The same address spelled AA-BB-CC-DD-EE-FF."""
+    return bssid.upper().replace(":", "-")
 
 
 class TestComparable:
@@ -63,6 +74,26 @@ class TestComparable:
     @given(a=env_strategy)
     def test_self_comparable_iff_non_empty(self, a):
         assert comparable(a, a, 1) == (len(a) > 0)
+
+    @given(
+        a=level_maps,
+        b=level_maps,
+        # whole omegas land exactly on integer rssi differences, the strict edge
+        omega=st.integers(min_value=1, max_value=50) | st.floats(min_value=0.5, max_value=50),
+    )
+    def test_matches_definition(self, a, b, omega):
+        want = any(bssid in b and abs(rssi - b[bssid]) < omega for bssid, rssi in a.items())
+        assert comparable(snapshot(a), snapshot(b), omega) == want
+
+
+class TestSnapshotReaders:
+    @given(levels=level_maps, spell=st.sampled_from([str, dashed]), probe=st.sampled_from(BSSID_POOL))
+    def test_rssi_and_bssids_agree_with_observations(self, levels, spell, probe):
+        env = EnvironmentSnapshot(tuple(ApObservation(spell(b), r) for b, r in levels.items()))
+        assert env.bssids == {o.bssid for o in env.observations} == set(levels)
+        for o in env.observations:
+            assert env.rssi(o.bssid) == env.rssi(dashed(o.bssid)) == levels[o.bssid]
+        assert env.rssi(dashed(probe)) == levels.get(probe)
 
 
 class TestParams:

@@ -162,6 +162,39 @@ class TestParse:
             parse_rules("RULE r: IF IS_VISIBLE('a') % THEN 'x'")
 
 
+VISIBLE_X = "IS_VISIBLE('x')"
+# Conditions d levels deep, each paired with a marker whose last occurrence
+# in the text starts at the token that opens the deepest level.
+NESTING_SHAPES = {
+    "parentheses": (lambda d: "(" * d + VISIBLE_X + ")" * d, "(IS"),
+    "not": (lambda d: "NOT " * d + VISIBLE_X, "NOT"),
+    "and-chain": (lambda d: " AND ".join([VISIBLE_X] * (d + 1)), "AND"),
+    "or-chain": (lambda d: " OR ".join([VISIBLE_X] * (d + 1)), "OR"),
+}
+
+
+@pytest.mark.parametrize("shape", NESTING_SHAPES)
+class TestNestingLimit:
+    def test_at_the_limit_parses_evaluates_and_round_trips(self, shape):
+        condition = NESTING_SHAPES[shape][0](rule_engine.MAX_NESTING)
+        rules = parse_rules(f"RULE a: IF {condition} THEN 'c'")
+        assert parse_rules(format_rules(rules)) == rules
+        ctx = make_ctx(EnvironmentSnapshot((named("x", -60, X),)))
+        assert eval_rules(rules, ctx) == [("a", "c")]
+
+    @pytest.mark.parametrize("depth", [rule_engine.MAX_NESTING + 1, 3000])
+    def test_deeper_is_a_positioned_syntax_error(self, shape, depth):
+        make, token = NESTING_SHAPES[shape]
+        prefix = "RULE a: IF "
+        condition = make(depth)
+        with pytest.raises(RuleSyntaxError) as err:
+            parse_rules(f"{prefix}{condition} THEN 'c'")
+        assert "nests deeper" in str(err.value)
+        assert err.value.line == 1
+        if depth == rule_engine.MAX_NESTING + 1:
+            assert err.value.column == len(prefix) + condition.rindex(token) + 1
+
+
 leaf_predicates = st.one_of(
     st.builds(IsVisible, st.text(alphabet="abcxyz ", min_size=1, max_size=8)),
     st.builds(NotVisible, st.text(alphabet="abcxyz'\"\\", min_size=1, max_size=8)),

@@ -253,6 +253,23 @@ class TestDiscoverConvoys:
         got = discover_convoys(db_from(rows), ConvoyParams(e=5, m=2, k=3))
         assert got == []
 
+    def test_wide_gap_visits_only_sampled_timestamps(self):
+        far = 10**15
+        db = db_from([(obj, t, 0.0, 0.0) for obj in "ab" for t in (0, 1, 2, far, far + 1)])
+        assert db.timestamps() == [0, 1, 2, far, far + 1]
+        visit = db.positions_at
+
+        def positions_at(t):
+            assert t in (0, 1, 2, far, far + 1), f"visited empty timestamp {t}"
+            return visit(t)
+
+        db.positions_at = positions_at
+        got = discover_convoys(db, ConvoyParams(e=5, m=2, k=2))
+        assert got == [
+            Convoy(frozenset({"a", "b"}), 0, 2),
+            Convoy(frozenset({"a", "b"}), far, far + 1),
+        ]
+
     def test_regrouping_yields_two_convoys(self):
         got = discover_convoys(
             db_from(

@@ -24,7 +24,16 @@ point, no fingerprint), modeling patchy collection.
 Everything random (noise, dropout) is driven by one generator seeded from
 the radio model, drawn in a fixed order (devices in declaration order,
 groups before loners, access points in declaration order), so the same
-scenario always yields bit-identical outputs.
+scenario always yields bit-identical outputs. The float operations keep
+one order too: the tests require the outputs of a reference loop that
+computes each device's position and each access point's level by separate
+calls (tests/helpers.py) to be identical, not close.
+
+One time step costs one path position per group or loner, shared by the
+group's members: a walk over the path's leg lengths, measured once when the
+path is built, up to the current leg. Each device not dropped then takes one
+pass over all access points: a hypot, a log10 and, with noise, one Gaussian
+draw per access point, heard or not.
 """
 
 from __future__ import annotations
@@ -32,8 +41,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
@@ -106,6 +115,8 @@ class WaypointPath:
 
     waypoints: tuple[Point, ...]
     speed: float
+    # legs[i] is the length from waypoints[i] to waypoints[i + 1].
+    legs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = _finite_points(self.waypoints, "waypoint")
@@ -114,23 +125,21 @@ class WaypointPath:
             raise InvalidScenarioError("path needs at least one waypoint")
         if not 0 < self.speed < math.inf:
             raise InvalidScenarioError(f"speed must be positive and finite, got {self.speed}")
+        object.__setattr__(self, "legs", tuple(a.distance_to(b) for a, b in zip(pts, pts[1:])))
 
     def position_at(self, t: float) -> Point:
-        if t < 0:
+        if not t >= 0:
             raise ValueError(f"time must be non-negative, got {t}")
         remaining = self.speed * t
-        pos = self.waypoints[0]
-        for nxt in self.waypoints[1:]:
-            leg = pos.distance_to(nxt)
+        for i, leg in enumerate(self.legs):
             if leg <= 0:
-                pos = nxt
                 continue
             if remaining < leg:
+                pos, nxt = self.waypoints[i], self.waypoints[i + 1]
                 f = remaining / leg
                 return Point(pos.x + (nxt.x - pos.x) * f, pos.y + (nxt.y - pos.y) * f)
             remaining -= leg
-            pos = nxt
-        return pos
+        return self.waypoints[-1]
 
 
 def path_through(waypoints: Iterable[tuple[float, float]], travel_time: float) -> WaypointPath:
@@ -245,40 +254,56 @@ class SimulationResult:
     ground_truth: tuple[GroundTruthRecord, ...]
 
 
+def _receiver(
+    aps: Sequence[ApNode], model: RadioModel, gauss: Callable[[float, float], float]
+) -> Callable[[float, float], list[tuple[ApNode, float]]]:
+    """A function from a position (x, y) to the (ap, level) pairs heard there,
+    in the order of aps: the path-loss formula of the module docstring.
+
+    Each call draws gauss(0.0, sigma) once per access point, in order, heard
+    or not, when the model has noise. 10 * gamma is taken once: the formula
+    multiplies left to right, so (10 * gamma) * log10(x) is the same float.
+    """
+    d0 = REFERENCE_DISTANCE_M
+    ten_gamma = 10.0 * model.path_loss_exponent
+    sigma = model.noise_sigma_db
+    noisy = sigma > 0
+    nodes = tuple(
+        (ap.position.x, ap.position.y, ap.tx_power_dbm, ap.detection_floor_dbm, ap) for ap in aps
+    )
+    hypot, log10 = math.hypot, math.log10
+
+    def heard_at(x: float, y: float) -> list[tuple[ApNode, float]]:
+        heard = []
+        for ax, ay, tx, floor, ap in nodes:
+            d = hypot(x - ax, y - ay)
+            if d < d0:
+                d = d0
+            level = tx - ten_gamma * log10(d / d0)
+            if noisy:
+                level += gauss(0.0, sigma)
+            if level >= floor:
+                heard.append((ap, level))
+        return heard
+
+    return heard_at
+
+
 def rssi_at(
     ap: ApNode, pos: Point, model: RadioModel, rng: random.Random | None = None
 ) -> float | None:
     """Modeled received level at pos, or None when below the detection floor.
 
     Noise is drawn from rng (the module-level generator when omitted), so
-    pass the scenario generator for reproducible traces.
+    pass the scenario generator for reproducible traces. A coordinate that is
+    not finite raises ValueError.
     """
-    d = max(Point(*pos).distance_to(ap.position), REFERENCE_DISTANCE_M)
-    level = ap.tx_power_dbm - 10.0 * model.path_loss_exponent * math.log10(
-        d / REFERENCE_DISTANCE_M
-    )
-    if model.noise_sigma_db > 0:
-        gauss = rng.gauss if rng is not None else random.gauss
-        level += gauss(0.0, model.noise_sigma_db)
-    if level < ap.detection_floor_dbm:
-        return None
-    return level
-
-
-def _riders(
-    scenario: MobilityScenario,
-) -> list[tuple[DeviceId, str | None, Callable[[float], Point]]]:
-    riders: list[tuple[DeviceId, str | None, Callable[[float], Point]]] = []
-    for group in scenario.groups:
-        for device, offset in zip(group.members, group.offsets):
-            def pos_at(t: float, path=group.path, off=offset) -> Point:
-                p = path.position_at(t)
-                return Point(p.x + off.x, p.y + off.y)
-
-            riders.append((device, group.group_id, pos_at))
-    for loner in scenario.loners:
-        riders.append((loner.device, None, loner.path.position_at))
-    return riders
+    x, y = pos
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"position must be finite, got {tuple(pos)}")
+    gauss = (rng if rng is not None else random).gauss
+    heard = _receiver((ap,), model, gauss)(x, y)
+    return heard[0][1] if heard else None
 
 
 def simulate(scenario: MobilityScenario) -> SimulationResult:
@@ -294,29 +319,37 @@ def simulate(scenario: MobilityScenario) -> SimulationResult:
     rng = random.Random(scenario.radio.seed)
     dt = scenario.sample_interval
     steps = int(math.floor(scenario.duration / dt + 1e-9)) + 1
-    riders = _riders(scenario)
+    dropout = scenario.dropout_rate
+    heard_at = _receiver(scenario.aps, scenario.radio, rng.gauss)
+    # One entry per path: its group (None for a loner) and its riders, each
+    # with its offset from the path (None for a loner, who rides the path).
+    walkers: list[tuple[WaypointPath, str | None, tuple[tuple[DeviceId, Point | None], ...]]] = [
+        (g.path, g.group_id, tuple(zip(g.members, g.offsets))) for g in scenario.groups
+    ]
+    walkers += [(l.path, None, ((l.device, None),)) for l in scenario.loners]
 
     trajectories = TrajectoryDb()
     log = ProximityLog()
     observation = _shared_observations()
     for i in range(steps):
         t = i * dt
-        for device, _, pos_at in riders:
-            if scenario.dropout_rate > 0 and rng.random() < scenario.dropout_rate:
-                continue
-            pos = pos_at(t)
-            trajectories.add(device, i, pos)
-            observations = []
-            for ap in scenario.aps:
-                level = rssi_at(ap, pos, scenario.radio, rng)
-                if level is not None:
-                    observations.append(observation(ap.bssid, round(level), ap.ssid))
-            log.ingest(device, Fingerprint(t=t, env=EnvironmentSnapshot(tuple(observations))))
+        for path, _, riders in walkers:
+            p = path.position_at(t)
+            for device, off in riders:
+                if dropout > 0 and rng.random() < dropout:
+                    continue
+                pos = p if off is None else Point(p.x + off.x, p.y + off.y)
+                trajectories.add(device, i, pos)
+                observations = tuple(
+                    [observation(ap.bssid, round(level), ap.ssid) for ap, level in heard_at(*pos)]
+                )
+                log.ingest(device, Fingerprint(t=t, env=EnvironmentSnapshot(observations)))
 
     end_t = (steps - 1) * dt
     truth = tuple(
         GroundTruthRecord(device=device, group=group, t_start=0.0, t_end=end_t)
-        for device, group, _ in riders
+        for _, group, riders in walkers
+        for device, _ in riders
     )
     return SimulationResult(trajectories=trajectories, proximity=log, ground_truth=truth)
 

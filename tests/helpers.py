@@ -8,6 +8,7 @@ two different routes to the same answer.
 from __future__ import annotations
 
 import json
+import math
 import random
 from itertools import combinations
 
@@ -18,7 +19,9 @@ from convoylog import (
     ComparabilityParams,
     EnvironmentSnapshot,
     Fingerprint,
+    GroundTruthRecord,
     GroupQueryParams,
+    MobilityScenario,
     ProximityLog,
     canonical_id,
     density_clusters,
@@ -277,3 +280,72 @@ def convoy_oracle(db: TrajectoryDb, e: float, m: int, k: int) -> set[tuple[froze
             o != c and c[0] <= o[0] and o[1] <= c[1] and c[2] <= o[2] for o in found
         )
     }
+
+
+# --- Simulator reference -----------------------------------------------------
+
+
+def reference_simulate(
+    scenario: MobilityScenario,
+) -> tuple[TrajectoryDb, ProximityLog, tuple[GroundTruthRecord, ...]]:
+    """simulate's outputs from a plain loop: one rider at a time, its path
+    walked from the first waypoint with every leg measured again, and the
+    path-loss formula evaluated for one access point at a time.
+
+    It makes the same random draws and float operations in the same order
+    (devices in declaration order, groups before loners, access points in
+    declaration order), so the outputs must be identical, not close.
+    """
+    radio = scenario.radio
+
+    def position(path, t: float) -> Point:
+        remaining = path.speed * t
+        pos = path.waypoints[0]
+        for nxt in path.waypoints[1:]:
+            leg = pos.distance_to(nxt)
+            if leg <= 0:
+                pos = nxt
+                continue
+            if remaining < leg:
+                f = remaining / leg
+                return Point(pos.x + (nxt.x - pos.x) * f, pos.y + (nxt.y - pos.y) * f)
+            remaining -= leg
+            pos = nxt
+        return pos
+
+    def level(ap, pos: Point, rng: random.Random) -> float | None:
+        d = max(Point(*pos).distance_to(ap.position), 1.0)
+        value = ap.tx_power_dbm - 10.0 * radio.path_loss_exponent * math.log10(d / 1.0)
+        if radio.noise_sigma_db > 0:
+            value += rng.gauss(0.0, radio.noise_sigma_db)
+        return None if value < ap.detection_floor_dbm else value
+
+    riders = [
+        (device, group.group_id, group.path, offset)
+        for group in scenario.groups
+        for device, offset in zip(group.members, group.offsets)
+    ] + [(loner.device, None, loner.path, None) for loner in scenario.loners]
+    rng = random.Random(radio.seed)
+    dt = scenario.sample_interval
+    steps = int(math.floor(scenario.duration / dt + 1e-9)) + 1
+    trajectories = TrajectoryDb()
+    log = ProximityLog()
+    for i in range(steps):
+        t = i * dt
+        for device, _, path, offset in riders:
+            if scenario.dropout_rate > 0 and rng.random() < scenario.dropout_rate:
+                continue
+            pos = position(path, t)
+            if offset is not None:
+                pos = Point(pos.x + offset.x, pos.y + offset.y)
+            trajectories.add(device, i, pos)
+            observations = []
+            for ap in scenario.aps:
+                value = level(ap, pos, rng)
+                if value is not None:
+                    observations.append(ApObservation(ap.bssid, round(value), ap.ssid))
+            log.ingest(device, Fingerprint(t, EnvironmentSnapshot(tuple(observations))))
+    truth = tuple(
+        GroundTruthRecord(device, group, 0.0, (steps - 1) * dt) for device, group, _, _ in riders
+    )
+    return trajectories, log, truth

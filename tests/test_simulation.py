@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from convoylog import (
     MobilityScenario,
     Point,
     RadioModel,
+    SimulationResult,
     WaypointPath,
     corridor_scenario,
     fig4_scenario,
@@ -34,7 +36,14 @@ from convoylog import (
     write_trajectories_jsonl,
 )
 from convoylog.simulation import MAX_SAMPLES
-from helpers import UNDECODABLE_LINES, json_values, jsonl_ending_with, jsonl_text, oracle_members
+from helpers import (
+    UNDECODABLE_LINES,
+    json_values,
+    jsonl_ending_with,
+    jsonl_text,
+    oracle_members,
+    reference_simulate,
+)
 
 
 def ap(x=0.0, y=0.0, tx=-40.0, floor=-95.0, bssid="0a:00:00:00:00:01") -> ApNode:
@@ -84,6 +93,13 @@ class TestRadio:
             with pytest.raises(InvalidScenarioError):
                 ap(tx=bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_position_rejected(self, bad):
+        model = RadioModel(path_loss_exponent=2.0, noise_sigma_db=0.0)
+        for pos in (Point(bad, 0.0), Point(0.0, bad)):
+            with pytest.raises(ValueError):
+                rssi_at(ap(), pos, model)
+
 
 class TestPaths:
     def test_piecewise_motion_and_hold(self):
@@ -113,8 +129,9 @@ class TestPaths:
             path_through([(0, 0), (1, 1)], travel_time=0.0)
         with pytest.raises(InvalidScenarioError):
             path_through([(2, 2), (2, 2)], travel_time=5.0)
-        with pytest.raises(ValueError):
-            WaypointPath((Point(0, 0),), speed=1.0).position_at(-1)
+        for t in (-1, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                WaypointPath((Point(0, 0), Point(1, 0)), speed=1.0).position_at(t)
 
 
 def tiny_scenario(**overrides) -> MobilityScenario:
@@ -271,6 +288,92 @@ class TestSimulate:
         assert kept == sorted(second.trajectories.positions("02:00:00:00:00:01"))
         times = [fp.t for fp in first.proximity.track("02:00:00:00:00:01").samples]
         assert times == [i * 1.0 for i in kept]
+
+
+def random_scenario(rng: random.Random) -> MobilityScenario:
+    """A small valid scenario with noise, dropout, group offsets, repeated
+    waypoints (zero-length legs) and one-waypoint paths."""
+
+    def path() -> WaypointPath:
+        pts = [Point(rng.uniform(0, 60), rng.uniform(0, 60)) for _ in range(rng.randint(1, 5))]
+        if len(pts) > 1 and rng.random() < 0.5:
+            k = rng.randrange(len(pts))
+            pts.insert(k, pts[k])  # a zero-length leg
+        return WaypointPath(tuple(pts), rng.uniform(0.3, 3.0))
+
+    aps = tuple(
+        ap(
+            x=rng.uniform(0, 60),
+            y=rng.uniform(0, 60),
+            tx=rng.uniform(-45.0, -35.0),
+            floor=rng.uniform(-85.0, -60.0),
+            bssid=f"0a:00:00:00:00:{k + 1:02x}",
+        )
+        for k in range(rng.randint(1, 5))
+    )
+    serial = iter(range(1, 256))
+    groups = []
+    for g in range(rng.randint(1, 3)):
+        members = tuple(f"02:00:00:00:00:{next(serial):02x}" for _ in range(rng.randint(1, 4)))
+        offsets = () if rng.random() < 0.3 else tuple(
+            Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in members
+        )
+        groups.append(GroupSpec(f"g{g}", members, path(), offsets))
+    loners = tuple(
+        LonerSpec(f"03:00:00:00:00:{next(serial):02x}", path()) for _ in range(rng.randint(0, 3))
+    )
+    return MobilityScenario(
+        name="random",
+        aps=aps,
+        groups=tuple(groups),
+        loners=loners,
+        radio=RadioModel(
+            path_loss_exponent=rng.uniform(1.8, 3.5),
+            noise_sigma_db=rng.choice([0.0, 1.5, 4.0]),
+            seed=rng.randrange(1000),
+        ),
+        sample_interval=rng.choice([0.7, 1.0, 2.5]),
+        duration=rng.uniform(0.0, 60.0),
+        dropout_rate=rng.choice([0.0, 0.3, 0.7]),
+    )
+
+
+def assert_matches_reference(scenario: MobilityScenario) -> SimulationResult:
+    res = simulate(scenario)
+    trajectories, log, truth = reference_simulate(scenario)
+    for got, want, write in (
+        (res.trajectories, trajectories, write_trajectories_jsonl),
+        (res.proximity, log, write_log_jsonl),
+    ):
+        got_out, want_out = io.StringIO(), io.StringIO()
+        write(got, got_out)
+        write(want, want_out)
+        assert got_out.getvalue() == want_out.getvalue()
+    assert res.ground_truth == truth
+    return res
+
+
+class TestReference:
+    @pytest.mark.parametrize("seed", [0, 7, 13, 99])
+    def test_builtin_scenarios_match_reference(self, seed):
+        assert_matches_reference(fig4_scenario(seed=seed))
+        assert_matches_reference(corridor_scenario(seed=seed))
+        assert_matches_reference(corridor_scenario(seed=seed, noise_sigma_db=2.0))
+
+    def test_random_scenarios_match_reference(self):
+        rng = random.Random(20)
+        whole_group_dropped = False
+        for _ in range(40):
+            scenario = random_scenario(rng)
+            db = assert_matches_reference(scenario).trajectories
+            present = {(d, i) for d in db.objects for i in db.positions(d)}
+            steps = int(math.floor(scenario.duration / scenario.sample_interval + 1e-9)) + 1
+            whole_group_dropped |= any(
+                len(g.members) > 1 and not any((d, i) in present for d in g.members)
+                for g in scenario.groups
+                for i in range(steps)
+            )
+        assert whole_group_dropped  # the case is covered, not just possible
 
 
 class TestBuiltinScenarios:

@@ -129,9 +129,10 @@ class TestPaths:
             path_through([(0, 0), (1, 1)], travel_time=0.0)
         with pytest.raises(InvalidScenarioError):
             path_through([(2, 2), (2, 2)], travel_time=5.0)
-        for t in (-1, -math.inf, math.nan):
-            with pytest.raises(ValueError):
-                WaypointPath((Point(0, 0), Point(1, 0)), speed=1.0).position_at(t)
+        for waypoints in ((Point(0, 0),), (Point(0, 0), Point(1, 0))):
+            for t in (-1, -math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    WaypointPath(waypoints, speed=1.0).position_at(t)
 
 
 def tiny_scenario(**overrides) -> MobilityScenario:

@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def group_flags(p: argparse.ArgumentParser, delta_default, t_max_default):
+    def group_flags(p: argparse.ArgumentParser, delta_default: float | None = 2.0):
         p.add_argument(
             "--delta",
             type=float,
@@ -318,14 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=3.0,
             help="RSSI comparability threshold in dB (default: %(default)s)",
-        )
-        p.add_argument(
-            "--t-max",
-            dest="t_max",
-            type=float,
-            default=t_max_default,
-            help="lookback horizon in seconds"
-            + (" (default: %(default)s)" if t_max_default is not None else " (default: scenario duration)"),
         )
         p.add_argument(
             "--min-steps",
@@ -356,7 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", required=True)
     p.add_argument("--t0", default="latest", help="query time in seconds, or 'latest' (default)")
     p.add_argument("--n", type=int, default=2, help="group size threshold, device included (default: %(default)s)")
-    group_flags(p, delta_default=2.0, t_max_default=600.0)
+    group_flags(p)
+    p.add_argument(
+        "--t-max", dest="t_max", type=float, default=600.0, help="lookback horizon in seconds (default: %(default)s)"
+    )
     p.set_defaults(func=cmd_query_group)
 
     p = sub.add_parser("eval-rules", help="evaluate a rule file for one device")
@@ -371,15 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1800.0,
         help="visit boundary gap in seconds (default: %(default)s)",
     )
-    p.add_argument("--delta", type=float, default=2.0, help="time alignment tolerance in seconds (default: %(default)s)")
-    p.add_argument("--omega", type=float, default=3.0, help="RSSI comparability threshold in dB (default: %(default)s)")
-    p.add_argument(
-        "--min-steps",
-        dest="min_steps",
-        type=int,
-        default=2,
-        help="minimum processed history samples for a non-empty group answer (default: %(default)s)",
-    )
+    group_flags(p)
     p.set_defaults(func=cmd_eval_rules)
 
     p = sub.add_parser("convoy-baseline", help="coordinate convoy discovery over trajectory JSONL")
@@ -391,7 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario JSON path, or builtin:fig4 / builtin:corridor")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--n", type=int, default=2, help="group size threshold (default: %(default)s)")
-    group_flags(p, delta_default=None, t_max_default=None)
+    group_flags(p, delta_default=None)
+    p.add_argument(
+        "--t-max", dest="t_max", type=float, default=None, help="lookback horizon in seconds (default: scenario duration)"
+    )
     convoy_flags(p)
     p.set_defaults(func=cmd_compare)
 

@@ -200,12 +200,11 @@ def discover_group(
     if len(e0) == 0:
         raise EmptyEnvironmentError("query snapshot has no visible networks")
     t0 = finite_time(t0, "t0")
-    walk = _walk(log, canonical_id(user), t0, e0, params.delta, params.omega, t0 - params.t_max)
-    steps = 1 + len(walk.steps)
-    members = frozenset(walk.survivors) if steps >= params.min_steps else frozenset()
+    horizon = t0 - params.t_max
+    walk = _walk(log, canonical_id(user), t0, e0, params.delta, params.omega, horizon)
     return GroupResult(
-        members=members,
-        steps_processed=steps,
+        members=walk.members(horizon, params.min_steps),
+        steps_processed=1 + len(walk.steps),
         oldest_step_time=walk.steps[-1] if walk.steps else t0,
     )
 

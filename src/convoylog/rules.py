@@ -17,7 +17,8 @@ AND binds tighter than OR, NOT tighter than both. A condition nests at most
 MAX_NESTING levels deep, counting parentheses, NOT and each AND or OR. A
 <net> reference names a network by ssid text, or by hardware address when it
 is shaped like one (12 hex digits with separators). Strings take single or
-double quotes with backslash escapes.
+double quotes. A backslash escapes any character, a line break included; a
+string holds no unescaped line break.
 
 Predicate semantics live in eval_predicate; evaluation never raises on
 odd context (no visible networks, unknown device, empty history), it just
@@ -46,8 +47,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import groups
 from .errors import DuplicateRuleIdError, RuleSyntaxError
@@ -155,117 +157,124 @@ class Rule:
     content: str
 
 
+# --- Terms -------------------------------------------------------------------
+
+
+def _quote(value: str, quote: str = "'") -> str:
+    """value as a string literal: a backslash goes before each backslash,
+    quote and line break in it."""
+    body = value.replace("\\", "\\\\").replace(quote, "\\" + quote).replace("\n", "\\\n")
+    return f"{quote}{body}{quote}"
+
+
+def _minutes(text: str) -> int:
+    """Minutes since midnight of an 'HH:MM' time; ValueError when malformed."""
+    m = re.fullmatch(r"(\d{1,2}):(\d{2})", text)
+    if not m:
+        raise ValueError(f"bad time {text!r}, want 'HH:MM'")
+    hours, minutes = int(m.group(1)), int(m.group(2))
+    if hours > 23 or minutes > 59:
+        raise ValueError(f"time {text!r} out of range")
+    return hours * 60 + minutes
+
+
+class _Arg(NamedTuple):
+    """How a term writes one argument.
+
+    It is a token of kind, called what in "expected ..." errors; read turns
+    the token's text into the field value (ValueError when malformed) and
+    show turns the value back into text. too_small is set for an integer
+    that must be at least 1: the error for a smaller one, raised once the
+    term's closing parenthesis is read.
+    """
+
+    kind: str
+    what: str
+    read: Callable[[str], object]
+    show: Callable[[object], str]
+    too_small: str | None = None
+
+
+_NETWORK = _Arg("string", "network name", str, _quote)
+_TIME = _Arg("string", "'HH:MM' time", _minutes, lambda m: _quote(f"{m // 60:02d}:{m % 60:02d}"))
+
+# Every call-style term: its keyword, its predicate class and how it writes
+# each of the class's fields, in order. The keyword set, the parser and the
+# printer all read this table; only TIME() <relation> 'HH:MM' is written
+# otherwise.
+_TERMS: dict[str, tuple[type[Predicate], tuple[_Arg, ...]]] = {
+    "IS_VISIBLE": (IsVisible, (_NETWORK,)),
+    "NOT_VISIBLE": (NotVisible, (_NETWORK,)),
+    "CLOSE_THAN": (CloseThan, (_NETWORK, _NETWORK)),
+    "FIRST_VISIT": (FirstVisit, ()),
+    "FOLLOW_UP_VISIT": (FollowUpVisit, ()),
+    "TIME_WITHIN": (TimeWithin, (_TIME, _TIME)),
+    "IN_GROUP_OF": (
+        InGroupOf,
+        (
+            _Arg("int", "group size", int, str, "group size must be at least 1"),
+            _Arg("int", "lookback seconds", int, str, "lookback must be positive"),
+        ),
+    ),
+}
+_TERM_OF = {cls: (keyword, args) for keyword, (cls, args) in _TERMS.items()}
+
+
 # --- Tokenizer ---------------------------------------------------------------
 
-_KEYWORDS = {
-    "RULE",
-    "IF",
-    "THEN",
-    "AND",
-    "OR",
-    "NOT",
-    "IS_VISIBLE",
-    "NOT_VISIBLE",
-    "CLOSE_THAN",
-    "FIRST_VISIT",
-    "FOLLOW_UP_VISIT",
-    "TIME_WITHIN",
-    "TIME",
-    "IN_GROUP_OF",
-}
+_KEYWORDS = {"RULE", "IF", "THEN", "AND", "OR", "NOT", "TIME", *_TERMS}
 
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT = re.compile(r"[0-9]+")
+# One alternative per kind of token, tried in order. A string ends at its
+# first unescaped quote and holds no unescaped line break; a quote that
+# starts no such string is unterminated.
+_TOKEN = re.compile(
+    r"""(?P<space>[ \t\r\n]+)
+    | (?P<string>'[^'\\\n]*(?:\\.[^'\\\n]*)*'|"[^"\\\n]*(?:\\.[^"\\\n]*)*")
+    | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<int>[0-9]+)
+    | (?P<symbol><=|>=|[():,<>=])
+    | (?P<quote>['"])
+    | (?P<other>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
 @dataclass(frozen=True)
 class _Token:
     kind: str  # keyword text itself, or 'ident', 'int', 'string', symbol text
-    text: str
-    value: object
-    line: int
-    column: int
+    text: str  # a string's value, escapes resolved
+    offset: int
+
+
+def _error(text: str, offset: int, message: str) -> RuleSyntaxError:
+    """A RuleSyntaxError at the line and column of text[offset]."""
+    line = text.count("\n", 0, offset) + 1
+    return RuleSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_line, start_col = line, col
-        if ch in "'\"":
-            quote = ch
-            i += 1
-            col += 1
-            buf = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise RuleSyntaxError("unterminated string", start_line, start_col)
-                c = text[i]
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise RuleSyntaxError("unterminated string", start_line, start_col)
-                    buf.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                if c == quote:
-                    i += 1
-                    col += 1
-                    break
-                buf.append(c)
-                i += 1
-                col += 1
-            tokens.append(_Token("string", "".join(buf), "".join(buf), start_line, start_col))
-            continue
-        m = _WORD.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, word, start_line, start_col))
-            i = m.end()
-            col += len(word)
-            continue
-        m = _INT.match(text, i)
-        if m:
-            digits = m.group(0)
+    for m in _TOKEN.finditer(text):
+        kind, word, at = m.lastgroup, m.group(), m.start()
+        if kind == "string":
+            tokens.append(_Token(kind, _ESCAPE.sub(r"\1", word[1:-1]), at))
+        elif kind == "word":
+            tokens.append(_Token(word if word in _KEYWORDS else "ident", word, at))
+        elif kind == "int":
             # A lookback is used as float seconds, so literals must fit a float.
             try:
-                value = int(digits)
-                float(value)
+                float(int(word))
             except (ValueError, OverflowError):
-                raise RuleSyntaxError(
-                    f"integer literal of {len(digits)} digits is out of range",
-                    start_line,
-                    start_col,
-                ) from None
-            tokens.append(_Token("int", digits, value, start_line, start_col))
-            i = m.end()
-            col += len(digits)
-            continue
-        two = text[i : i + 2]
-        if two in ("<=", ">="):
-            tokens.append(_Token(two, two, two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in "():,<>=":
-            tokens.append(_Token(ch, ch, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise RuleSyntaxError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(_Token("eof", "", None, line, col))
+                raise _error(text, at, f"integer literal of {len(word)} digits is out of range") from None
+            tokens.append(_Token(kind, word, at))
+        elif kind == "symbol":
+            tokens.append(_Token(word, word, at))
+        elif kind == "quote":
+            raise _error(text, at, "unterminated string")
+        elif kind == "other":
+            raise _error(text, at, f"unexpected character {word!r}")
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
@@ -280,10 +289,14 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.open = 0  # parentheses and NOTs around the current token
+
+    def error(self, message: str, tok: _Token) -> RuleSyntaxError:
+        return _error(self.text, tok.offset, message)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -296,12 +309,7 @@ class _Parser:
     def expect(self, kind: str, what: str | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            wanted = what or kind
-            raise RuleSyntaxError(
-                f"expected {wanted}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.column,
-            )
+            raise self.error(f"expected {what or kind}, found {tok.text or 'end of input'!r}", tok)
         return self.advance()
 
     def parse_ruleset(self) -> tuple[Rule, ...]:
@@ -329,9 +337,7 @@ class _Parser:
         """depth; a RuleSyntaxError at tok when the open levels plus depth
         exceed MAX_NESTING."""
         if self.open + depth > MAX_NESTING:
-            raise RuleSyntaxError(
-                f"condition nests deeper than {MAX_NESTING} levels", tok.line, tok.column
-            )
+            raise self.error(f"condition nests deeper than {MAX_NESTING} levels", tok)
         return depth
 
     # Each parse_* below returns a condition and its depth in levels.
@@ -369,102 +375,45 @@ class _Parser:
         return node, 1 + depth
 
     def parse_term(self) -> Predicate:
-        tok = self.peek()
-        if tok.kind == "IS_VISIBLE":
-            return IsVisible(self._one_string())
-        if tok.kind == "NOT_VISIBLE":
-            return NotVisible(self._one_string())
-        if tok.kind == "CLOSE_THAN":
-            self.advance()
-            self.expect("(")
-            near = self.expect("string", "network name").text
-            self.expect(",")
-            far = self.expect("string", "network name").text
-            self.expect(")")
-            return CloseThan(near, far)
-        if tok.kind == "FIRST_VISIT":
-            self._empty_args()
-            return FirstVisit()
-        if tok.kind == "FOLLOW_UP_VISIT":
-            self._empty_args()
-            return FollowUpVisit()
-        if tok.kind == "TIME_WITHIN":
-            self.advance()
-            self.expect("(")
-            start = self._time_literal()
-            self.expect(",")
-            end = self._time_literal()
-            self.expect(")")
-            return TimeWithin(start, end)
+        tok = self.advance()
         if tok.kind == "TIME":
-            self._empty_args()
-            rel = self.peek()
-            if rel.kind not in RELATIONS:
-                raise RuleSyntaxError(
-                    f"expected comparison after TIME(), found {rel.text!r}",
-                    rel.line,
-                    rel.column,
-                )
-            self.advance()
-            return TimeCompare(rel.kind, self._time_literal())
-        if tok.kind == "IN_GROUP_OF":
-            self.advance()
             self.expect("(")
-            n_tok = self.expect("int", "group size")
-            self.expect(",")
-            t_tok = self.expect("int", "lookback seconds")
             self.expect(")")
-            if n_tok.value < 1:
-                raise RuleSyntaxError("group size must be at least 1", n_tok.line, n_tok.column)
-            if t_tok.value <= 0:
-                raise RuleSyntaxError("lookback must be positive", t_tok.line, t_tok.column)
-            return InGroupOf(n=n_tok.value, t=t_tok.value)
-        raise RuleSyntaxError(
-            f"expected a condition, found {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.column,
-        )
-
-    def _one_string(self) -> str:
-        self.advance()
+            rel = self.advance()
+            if rel.kind not in RELATIONS:
+                raise self.error(f"expected comparison after TIME(), found {rel.text!r}", rel)
+            return TimeCompare(rel.kind, self.argument(_TIME)[1])
+        if tok.kind not in _TERMS:
+            raise self.error(f"expected a condition, found {tok.text or 'end of input'!r}", tok)
+        cls, args = _TERMS[tok.kind]
         self.expect("(")
-        value = self.expect("string", "network name").text
+        read: list[tuple[_Token, object]] = []
+        for arg in args:
+            if read:
+                self.expect(",")
+            read.append(self.argument(arg))
         self.expect(")")
-        return value
+        for arg, (arg_tok, value) in zip(args, read):
+            if arg.too_small and value < 1:
+                raise self.error(arg.too_small, arg_tok)
+        return cls(*(value for _, value in read))
 
-    def _empty_args(self) -> None:
-        self.advance()
-        self.expect("(")
-        self.expect(")")
-
-    def _time_literal(self) -> int:
-        tok = self.expect("string", "'HH:MM' time")
-        m = re.fullmatch(r"(\d{1,2}):(\d{2})", tok.text)
-        if not m:
-            raise RuleSyntaxError(f"bad time {tok.text!r}, want 'HH:MM'", tok.line, tok.column)
-        hours, minutes = int(m.group(1)), int(m.group(2))
-        if hours > 23 or minutes > 59:
-            raise RuleSyntaxError(f"time {tok.text!r} out of range", tok.line, tok.column)
-        return hours * 60 + minutes
+    def argument(self, arg: _Arg) -> tuple[_Token, object]:
+        tok = self.expect(arg.kind, arg.what)
+        try:
+            return tok, arg.read(tok.text)
+        except ValueError as exc:
+            raise self.error(str(exc), tok) from None
 
 
 def parse_rules(text: str) -> tuple[Rule, ...]:
     """Parse rule statements; empty input gives an empty ruleset."""
-    return _Parser(_tokenize(text)).parse_ruleset()
+    return _Parser(text).parse_ruleset()
 
 
 # --- Printer -----------------------------------------------------------------
 
 _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4
-
-
-def _quote(value: str, quote: str = "'") -> str:
-    body = value.replace("\\", "\\\\").replace(quote, "\\" + quote)
-    return f"{quote}{body}{quote}"
-
-
-def _minutes_text(minutes: int) -> str:
-    return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
 
 def _prec(p: Predicate) -> int:
@@ -484,22 +433,12 @@ def _render(p: Predicate, floor: int) -> str:
         text = f"{_render(p.left, _PREC_AND)} AND {_render(p.right, _PREC_AND + 1)}"
     elif isinstance(p, Not):
         text = f"NOT {_render(p.operand, _PREC_NOT)}"
-    elif isinstance(p, IsVisible):
-        text = f"IS_VISIBLE({_quote(p.network)})"
-    elif isinstance(p, NotVisible):
-        text = f"NOT_VISIBLE({_quote(p.network)})"
-    elif isinstance(p, CloseThan):
-        text = f"CLOSE_THAN({_quote(p.near)}, {_quote(p.far)})"
-    elif isinstance(p, FirstVisit):
-        text = "FIRST_VISIT()"
-    elif isinstance(p, FollowUpVisit):
-        text = "FOLLOW_UP_VISIT()"
-    elif isinstance(p, TimeWithin):
-        text = f"TIME_WITHIN({_quote(_minutes_text(p.start))}, {_quote(_minutes_text(p.end))})"
     elif isinstance(p, TimeCompare):
-        text = f"TIME() {p.relation} {_quote(_minutes_text(p.minutes))}"
-    elif isinstance(p, InGroupOf):
-        text = f"IN_GROUP_OF({p.n}, {p.t})"
+        text = f"TIME() {p.relation} {_TIME.show(p.minutes)}"
+    elif type(p) in _TERM_OF:
+        keyword, args = _TERM_OF[type(p)]
+        shown = (arg.show(getattr(p, f.name)) for arg, f in zip(args, fields(p)))
+        text = f"{keyword}({', '.join(shown)})"
     else:
         raise TypeError(f"not a predicate: {p!r}")
     if _prec(p) < floor:

@@ -246,6 +246,14 @@ class _Token:
     text: str  # a string's value, escapes resolved
     offset: int
 
+    def shown(self) -> str:
+        """The token as a "found ..." error names it."""
+        if self.kind == "eof":
+            return "end of input"
+        if self.kind == "string":
+            return f"string {_quote(self.text)}"
+        return repr(self.text)
+
 
 def _error(text: str, offset: int, message: str) -> RuleSyntaxError:
     """A RuleSyntaxError at the line and column of text[offset]."""
@@ -309,7 +317,7 @@ class _Parser:
     def expect(self, kind: str, what: str | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise self.error(f"expected {what or kind}, found {tok.text or 'end of input'!r}", tok)
+            raise self.error(f"expected {what or kind}, found {tok.shown()}", tok)
         return self.advance()
 
     def parse_ruleset(self) -> tuple[Rule, ...]:
@@ -381,10 +389,10 @@ class _Parser:
             self.expect(")")
             rel = self.advance()
             if rel.kind not in RELATIONS:
-                raise self.error(f"expected comparison after TIME(), found {rel.text!r}", rel)
+                raise self.error(f"expected comparison after TIME(), found {rel.shown()}", rel)
             return TimeCompare(rel.kind, self.argument(_TIME)[1])
         if tok.kind not in _TERMS:
-            raise self.error(f"expected a condition, found {tok.text or 'end of input'!r}", tok)
+            raise self.error(f"expected a condition, found {tok.shown()}", tok)
         cls, args = _TERMS[tok.kind]
         self.expect("(")
         read: list[tuple[_Token, object]] = []

@@ -5,6 +5,12 @@ integer timestamp grid (missing samples allowed). A convoy is a set of at
 least m objects that stay density-connected, within distance e, for at
 least k consecutive grid timestamps.
 
+Mining has two parts: per-timestamp clustering (density_clusters, once
+per sampled timestamp) and one chaining pass over the sequence of
+(timestamp, clusters) pairs, which owns candidate intersection, run
+emission and the domination filter. The chaining sees only clusters, so
+any miner that clusters objects per timestamp can reuse it.
+
 Per timestamp, objects are grouped by density clustering: an object is a
 core when at least m objects (itself included) lie within distance e of it
 (inclusive); clusters grow from cores through overlapping neighborhoods,
@@ -16,11 +22,16 @@ from two clusters lands in the cluster whose seed core has the smallest id.
 The order in which one cluster's growth visits its objects does not change
 its members. Results are therefore a pure function of the input.
 
+The clustering works on plain index lists: the points are sorted by id
+once, so index order is id order, and each index has its coordinates, its
+list of neighbor indices and an assigned flag. Seeds are taken in index
+order, which is the ascending-id order above.
+
 Neighborhoods are found by a sweep along x, the fixed-radius near-neighbor
 search of Bentley, Stanat and Williams (1977): objects are sorted by x, and
 each object is tested against the objects after it in that order until the
 first whose x exceeds its own by more than e. The sweep finds exactly the
-pairs that comparing all pairs with the same `distance_to(...) <= e` test
+pairs that comparing all pairs with the same `hypot(dx, dy) <= e` test
 finds. For a fixed x, the rounded difference `q.x - p.x` never decreases as
 `q.x` grows, and `hypot(dx, dy) >= |dx|`, so no object after the stopping
 one can lie within e. A grid of e-sized cells would not be exact: with
@@ -30,10 +41,20 @@ distance rounds to exactly 1.0, yet they fall in cells 1 and -1.
 Across timestamps, candidate groups are intersected with the clusters of
 the next timestamp and survive while the intersection keeps at least m
 members; a candidate whose run just ended is emitted when it lasted at
-least k timestamps. A missing sample drops the object from that timestamp's
-clustering, which breaks any run it was part of; no interpolation is done.
+least k timestamps. This is the candidate-cluster intersection of CMC
+(Jeung et al., "Discovery of convoys in trajectory databases", VLDB 2008).
+Each timestamp's clusters are labeled by index, each object mapped to its
+cluster's label, and a candidate is intersected only with the clusters
+that hold one of its members, in ascending label order. Skipping the other
+clusters changes nothing: a cluster that shares no member with the
+candidate leaves an empty intersection, which never reaches m >= 1. A
+missing sample drops the object from that timestamp's clustering, which
+breaks any run it was part of; no interpolation is done.
+
 Finally, results dominated by another result (member subset, same or wider
-time interval) are discarded.
+time interval) are discarded. A convoy can only be dominated by one that
+holds all of its members, in particular its rarest member, the one that
+fewest results contain, so each result is tested only against those.
 
 On-disk format is JSONL, one position per line:
 
@@ -43,8 +64,9 @@ On-disk format is JSONL, one position per line:
 from __future__ import annotations
 
 import math
-from collections import deque
+from bisect import insort
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -118,20 +140,24 @@ class TrajectoryDb:
 
     def __init__(self):
         self._objects: dict[ObjectId, dict[int, Point]] = {}
+        self._order: list[ObjectId] = []  # the keys of _objects, sorted
 
     def add(self, obj: ObjectId, t: int, point: Point) -> None:
         if isinstance(t, bool) or not isinstance(t, int):
             raise ValueError(f"grid timestamp must be an integer, got {t!r}")
         if not obj:
             raise ValueError("object id must be non-empty")
-        samples = self._objects.setdefault(obj, {})
+        samples = self._objects.get(obj)
+        if samples is None:
+            samples = self._objects[obj] = {}
+            insort(self._order, obj)
         if t in samples:
             raise NonMonotoneTimestampError(f"object {obj}: duplicate sample at t={t}")
         samples[t] = _check_point(point)
 
     @property
     def objects(self) -> list[ObjectId]:
-        return sorted(self._objects)
+        return list(self._order)
 
     def __len__(self) -> int:
         return len(self._objects)
@@ -147,9 +173,10 @@ class TrajectoryDb:
 
     def positions_at(self, t: int) -> list[tuple[ObjectId, Point]]:
         """Objects present at grid time t, sorted by object id."""
+        objects = self._objects
         out = []
-        for obj in sorted(self._objects):
-            p = self._objects[obj].get(t)
+        for obj in self._order:
+            p = objects[obj].get(t)
             if p is not None:
                 out.append((obj, p))
         return out
@@ -160,8 +187,16 @@ class TrajectoryDb:
 
     def time_range(self) -> tuple[int, int] | None:
         """(earliest, latest) grid timestamp with any sample, or None."""
-        times = self.timestamps()
-        return (times[0], times[-1]) if times else None
+        lo = hi = None
+        for samples in self._objects.values():
+            for t in samples:
+                if lo is None:
+                    lo = hi = t
+                elif t < lo:
+                    lo = t
+                elif t > hi:
+                    hi = t
+        return None if lo is None else (lo, hi)
 
 
 def neighborhood(
@@ -186,42 +221,53 @@ def density_clusters(
         raise ValueError(f"e must be positive, got {e}")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    pos: dict[ObjectId, Point] = {}
-    for obj, p in points:
-        if obj in pos:
+    items = sorted(points, key=itemgetter(0))
+    ids: list[ObjectId] = []
+    xs: list[float] = []
+    ys: list[float] = []
+    for obj, p in items:
+        if ids and obj == ids[-1]:
             raise ValueError(f"duplicate object id {obj!r}")
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
+        x, y = p
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"coordinates must be finite, got {p}")
-        pos[obj] = p
-    near: dict[ObjectId, list[ObjectId]] = {obj: [obj] for obj in pos}
-    by_x = sorted(pos.items(), key=lambda item: item[1].x)
-    for i, (a, p) in enumerate(by_x):
-        for j in range(i + 1, len(by_x)):
-            b, q = by_x[j]
-            if q.x - p.x > e:
-                break
-            if p.distance_to(q) <= e:
-                near[a].append(b)
-                near[b].append(a)
-    cores = {obj for obj, nbrs in near.items() if len(nbrs) >= m}
+        ids.append(obj)
+        xs.append(x)
+        ys.append(y)
+    n = len(ids)
 
-    assigned: set[ObjectId] = set()
+    # near[i]: indices within e of index i, i itself included
+    near = [[i] for i in range(n)]
+    by_x = sorted(range(n), key=xs.__getitem__)
+    hypot = math.hypot
+    for a, i in enumerate(by_x):
+        xi, yi, near_i = xs[i], ys[i], near[i]
+        for b in range(a + 1, n):
+            j = by_x[b]
+            dx = xs[j] - xi
+            if dx > e:
+                break
+            if hypot(dx, ys[j] - yi) <= e:
+                near_i.append(j)
+                near[j].append(i)
+
+    assigned = bytearray(n)
     clusters: list[frozenset[ObjectId]] = []
-    for seed in sorted(cores):
-        if seed in assigned:
+    for seed in range(n):
+        if assigned[seed] or len(near[seed]) < m:
             continue
-        cluster: set[ObjectId] = set()
-        queue = deque([seed])
-        assigned.add(seed)
-        while queue:
-            cur = queue.popleft()
-            cluster.add(cur)
-            if cur in cores:
-                for other in near[cur]:
-                    if other not in assigned:
-                        assigned.add(other)
-                        queue.append(other)
-        clusters.append(frozenset(cluster))
+        assigned[seed] = 1
+        members = [seed]
+        stack = [seed]
+        while stack:
+            cur = near[stack.pop()]
+            if len(cur) >= m:
+                for other in cur:
+                    if not assigned[other]:
+                        assigned[other] = 1
+                        members.append(other)
+                        stack.append(other)
+        clusters.append(frozenset([ids[i] for i in members]))
     return clusters
 
 
@@ -233,32 +279,46 @@ def discover_convoys(db: TrajectoryDb, params: ConvoyParams) -> list[Convoy]:
     a gap with no data between two of them ends all runs, as a visited empty
     timestamp would.
     """
+    steps = ((t, density_clusters(db.positions_at(t), params.e, params.m)) for t in db.timestamps())
+    return _chain(steps, params.m, params.k)
+
+
+def _chain(
+    steps: Iterable[tuple[int, list[frozenset[ObjectId]]]], m: int, k: int
+) -> list[Convoy]:
+    """The maximal convoys of at least m objects lasting at least k steps,
+    from each sampled timestamp's clusters in increasing time order."""
     found: set[tuple[frozenset[ObjectId], int, int]] = set()
 
     def end_runs(cands: dict[frozenset[ObjectId], int], end: int) -> None:
         for members, start in cands.items():
-            if end - start + 1 >= params.k:
+            if end - start + 1 >= k:
                 found.add((members, start, end))
 
     cands: dict[frozenset[ObjectId], int] = {}
     prev = None
-    for t in db.timestamps():
+    for t, clusters in steps:
         if cands and t != prev + 1:
             end_runs(cands, prev)
             cands = {}
-        clusters = density_clusters(db.positions_at(t), params.e, params.m)
         nxt: dict[frozenset[ObjectId], int] = {}
-        for members, start in cands.items():
-            survived_whole = False
-            for cluster in clusters:
-                kept = members & cluster
-                if len(kept) >= params.m:
-                    prior = nxt.get(kept)
-                    nxt[kept] = start if prior is None else min(prior, start)
-                    if kept == members:
-                        survived_whole = True
-            if not survived_whole and (t - 1) - start + 1 >= params.k:
-                found.add((members, start, t - 1))
+        if cands:
+            label: dict[ObjectId, int] = {}
+            for i, cluster in enumerate(clusters):
+                label.update(dict.fromkeys(cluster, i))
+            for members, start in cands.items():
+                survived_whole = False
+                hit = set(map(label.get, members))
+                hit.discard(None)
+                for i in sorted(hit):
+                    kept = members & clusters[i]
+                    if len(kept) >= m:
+                        prior = nxt.get(kept)
+                        nxt[kept] = start if prior is None else min(prior, start)
+                        if len(kept) == len(members):
+                            survived_whole = True
+                if not survived_whole and (t - 1) - start + 1 >= k:
+                    found.add((members, start, t - 1))
         for cluster in clusters:
             if cluster not in nxt:
                 nxt[cluster] = t
@@ -266,14 +326,20 @@ def discover_convoys(db: TrajectoryDb, params: ConvoyParams) -> list[Convoy]:
         prev = t
     end_runs(cands, prev)
 
+    containing: dict[ObjectId, list[tuple[frozenset[ObjectId], int, int]]] = {}
+    for c in found:
+        for obj in c[0]:
+            containing.setdefault(obj, []).append(c)
+
     def dominated(c: tuple[frozenset[ObjectId], int, int]) -> bool:
         members, start, end = c
+        rarest = min(members, key=lambda obj: len(containing[obj]))
         return any(
             o != c and members <= o[0] and o[1] <= start and end <= o[2]
-            for o in found
+            for o in containing[rarest]
         )
 
-    kept = [Convoy(m, a, b) for (m, a, b) in found if not dominated((m, a, b))]
+    kept = [Convoy(*c) for c in found if not dominated(c)]
     kept.sort(key=lambda c: (c.t_start, c.t_end, sorted(c.members)))
     return kept
 

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from convoylog import (
     ApObservation,
     ComparabilityParams,
+    Convoy,
+    ConvoyParams,
     EnvironmentSnapshot,
     Fingerprint,
     GroundTruthRecord,
@@ -280,6 +282,84 @@ def convoy_oracle(db: TrajectoryDb, e: float, m: int, k: int) -> set[tuple[froze
             o != c and c[0] <= o[0] and o[1] <= c[1] and c[2] <= o[2] for o in found
         )
     }
+
+
+def reference_convoys(db: TrajectoryDb, params: ConvoyParams) -> list[Convoy]:
+    """discover_convoys as the plain CMC loop: every candidate is intersected
+    with every cluster of the next timestamp, and every pair of results is
+    tested for domination. Clusters come from dbscan_oracle, so no part of
+    the library's mining is used."""
+    found: set[tuple[frozenset[str], int, int]] = set()
+
+    def end_runs(cands: dict[frozenset[str], int], end: int) -> None:
+        for members, start in cands.items():
+            if end - start + 1 >= params.k:
+                found.add((members, start, end))
+
+    cands: dict[frozenset[str], int] = {}
+    prev = None
+    for t in db.timestamps():
+        if cands and t != prev + 1:
+            end_runs(cands, prev)
+            cands = {}
+        clusters = dbscan_oracle(db.positions_at(t), params.e, params.m)
+        nxt: dict[frozenset[str], int] = {}
+        for members, start in cands.items():
+            survived_whole = False
+            for cluster in clusters:
+                kept = members & cluster
+                if len(kept) >= params.m:
+                    prior = nxt.get(kept)
+                    nxt[kept] = start if prior is None else min(prior, start)
+                    if kept == members:
+                        survived_whole = True
+            if not survived_whole and (t - 1) - start + 1 >= params.k:
+                found.add((members, start, t - 1))
+        for cluster in clusters:
+            if cluster not in nxt:
+                nxt[cluster] = t
+        cands = nxt
+        prev = t
+    end_runs(cands, prev)
+
+    def dominated(c: tuple[frozenset[str], int, int]) -> bool:
+        members, start, end = c
+        return any(
+            o != c and members <= o[0] and o[1] <= start and end <= o[2]
+            for o in found
+        )
+
+    kept = [Convoy(*c) for c in found if not dominated(c)]
+    kept.sort(key=lambda c: (c.t_start, c.t_end, sorted(c.members)))
+    return kept
+
+
+def regrouping_db(rng: random.Random) -> tuple[TrajectoryDb, float]:
+    """A random database of 20-60 objects and its distance threshold e.
+
+    Objects ride a few moving group centres at most e/2 apart from them, and
+    now and then one leaves its group for another or walks alone for a
+    while, so groups split and regroup. Each object misses some samples, and
+    a few grid timestamps have no sample at all.
+    """
+    e = 3.0
+    n_groups = rng.randint(2, 6)
+    centres = [Point(rng.uniform(0, 40), rng.uniform(0, 40)) for _ in range(n_groups)]
+    home = [rng.randrange(n_groups + 1) for _ in range(rng.randint(20, 60))]
+    empty = set(rng.sample(range(25), rng.randint(0, 3)))
+    db = TrajectoryDb()
+    for t in range(rng.randint(8, 25)):
+        centres = [Point(c.x + rng.uniform(-2, 2), c.y + rng.uniform(-2, 2)) for c in centres]
+        for i, g in enumerate(home):
+            if rng.random() < 0.1:
+                home[i] = g = rng.randrange(n_groups + 1)
+            if t in empty or rng.random() < 0.08:
+                continue
+            # g == n_groups: walking alone, anywhere
+            c = centres[g] if g < n_groups else Point(rng.uniform(0, 40), rng.uniform(0, 40))
+            r, a = rng.uniform(0, e / 2), rng.uniform(0, 2 * math.pi)
+            db.add(f"o{i:02d}", t, Point(c.x + r * math.cos(a), c.y + r * math.sin(a)))
+    return db, e
 
 
 # --- Simulator reference -----------------------------------------------------

@@ -167,6 +167,21 @@ class TestParse:
             parse_rules("RULE a: IF IS_VISIBLE('x\\\ny') THEN\n 'c' @")
         assert (err.value.line, err.value.column) == (3, 6)
 
+    def test_error_names_empty_string_as_a_string(self):
+        with pytest.raises(RuleSyntaxError) as err:
+            parse_rules("RULE r: IF '' THEN 'x'")
+        assert str(err.value) == "line 1, column 12: expected a condition, found string ''"
+
+    def test_error_names_string_apart_from_identifier(self):
+        with pytest.raises(RuleSyntaxError) as err:
+            parse_rules("RULE r: IF IS_VISIBLE( 'a' 'b') THEN 'x'")
+        assert str(err.value) == "line 1, column 28: expected ), found string 'b'"
+
+    def test_error_names_end_of_input_after_time(self):
+        with pytest.raises(RuleSyntaxError) as err:
+            parse_rules("RULE r: IF TIME()")
+        assert str(err.value) == "line 1, column 18: expected comparison after TIME(), found end of input"
+
     def test_every_call_style_term_is_in_the_table_once(self):
         # A predicate class missing from the table could be evaluated but
         # neither parsed nor printed. TIME() <relation> 'HH:MM' is written

@@ -19,7 +19,15 @@ from convoylog import (
     read_trajectories_jsonl,
     write_trajectories_jsonl,
 )
-from helpers import UNDECODABLE_LINES, convoy_oracle, dbscan_oracle, jsonl_ending_with, jsonl_text
+from helpers import (
+    UNDECODABLE_LINES,
+    convoy_oracle,
+    dbscan_oracle,
+    jsonl_ending_with,
+    jsonl_text,
+    reference_convoys,
+    regrouping_db,
+)
 
 
 def db_from(rows) -> TrajectoryDb:
@@ -203,6 +211,11 @@ class TestDensityClusters:
         points = [("a", Point(1.0, 0.0)), ("b", Point(-1e-20, 0.0))]
         assert density_clusters(points, e=1.0, m=2) == [frozenset({"a", "b"})]
 
+    def test_duplicate_id_rejected_wherever_it_stands(self):
+        points = [("b", Point(0.0, 0.0)), ("a", Point(1.0, 0.0)), ("c", Point(2.0, 0.0)), ("b", Point(3.0, 0.0))]
+        with pytest.raises(ValueError, match="duplicate object id 'b'"):
+            density_clusters(points, 1.0, 1)
+
     def test_nan_e_and_non_finite_coordinates_rejected(self):
         with pytest.raises(ValueError):
             density_clusters([("a", Point(0.0, 0.0))], float("nan"), 1)
@@ -316,6 +329,17 @@ class TestDiscoverConvoys:
             params = ConvoyParams(e=rng.uniform(3, 10), m=2, k=rng.randint(1, 3))
             got = {(c.members, c.t_start, c.t_end) for c in discover_convoys(db, params)}
             assert got == convoy_oracle(db, params.e, params.m, params.k)
+
+    def test_matches_reference_miner_on_regrouping_crowds(self):
+        rng = random.Random(36)
+        found = 0
+        for _ in range(40):
+            db, e = regrouping_db(rng)
+            params = ConvoyParams(e=e, m=rng.randint(2, 4), k=rng.randint(1, 4))
+            got = discover_convoys(db, params)
+            assert got == reference_convoys(db, params)
+            found += len(got)
+        assert found > 200
 
     def test_reported_convoys_satisfy_invariants(self):
         rng = random.Random(35)

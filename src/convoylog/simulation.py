@@ -32,12 +32,20 @@ calls (tests/helpers.py) to be identical, not close.
 One time step costs one path position per group or loner, shared by the
 group's members: a walk over the path's leg lengths, measured once when the
 path is built, up to the current leg. Each device not dropped then takes one
-pass over all access points: a hypot, a log10 and, with noise, one Gaussian
-draw per access point, heard or not.
+pass over all access points. An access point in reach costs a hypot, a log10
+and, with noise, one Gaussian draw; one beyond reach costs a squared
+distance. Reach is the distance beyond which the level stays below the floor
+at any noise: noise is z * sigma with |z| <= sqrt(-2 ln 2**-53), about 8.57,
+since random.Random.gauss takes the log of 1 - random() >= 2**-53. With
+noise, every draw is still taken in order, heard or not, but only the draws
+of access points in reach are computed: a draw beyond reach only takes its
+uniforms from the generator (_noise), so the outputs are those of one gauss
+call per access point and sample.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -254,34 +262,107 @@ class SimulationResult:
     ground_truth: tuple[GroundTruthRecord, ...]
 
 
+# The largest |z| a Box-Muller pair can give: cos and sin are at most 1 and
+# 1 - random() is at least 2**-53, so sqrt(-2 * ln(1 - random())) <= this.
+_Z_BOUND = math.sqrt(-2.0 * math.log(2.0**-53))
+
+
+def _noise(rng: random.Random, sigma: float) -> tuple[Callable[[], float], Callable[[], None]]:
+    """(draw, skip): draw() returns rng.gauss(0.0, sigma), draw for draw, and
+    skip() takes one such draw without computing it.
+
+    random.Random.gauss makes its draws in pairs (Box-Muller): two uniforms
+    give a cos half, returned, and a sin half, kept for the next call. draw()
+    does the same from rng.random(), with the same float operations, but
+    keeps the pair's uniforms rather than the sin half, so skip() only takes
+    a pair's uniforms or drops its pending half. Every rng.random() call
+    therefore comes in the same order as with gauss. Nothing else may call
+    rng.gauss meanwhile.
+    """
+    uniform = rng.random
+    cos, sin, sqrt, log, tau = math.cos, math.sin, math.sqrt, math.log, math.tau
+    u1 = u2 = None  # the pair's uniforms while its sin half is pending
+
+    def draw() -> float:
+        nonlocal u1, u2
+        if u1 is None:
+            u1 = uniform()
+            u2 = uniform()
+            x, half = u1, cos
+        else:
+            x, u1, half = u1, None, sin
+        return 0.0 + half(x * tau) * sqrt(-2.0 * log(1.0 - u2)) * sigma
+
+    def skip() -> None:
+        nonlocal u1, u2
+        if u1 is None:
+            u1 = uniform()
+            u2 = uniform()
+        else:
+            u1 = None
+
+    return draw, skip
+
+
 def _receiver(
-    aps: Sequence[ApNode], model: RadioModel, gauss: Callable[[float, float], float]
+    aps: Sequence[ApNode],
+    model: RadioModel,
+    draw: Callable[[], float],
+    skip: Callable[[], object],
 ) -> Callable[[float, float], list[tuple[ApNode, float]]]:
     """A function from a position (x, y) to the (ap, level) pairs heard there,
     in the order of aps: the path-loss formula of the module docstring.
 
-    Each call draws gauss(0.0, sigma) once per access point, in order, heard
-    or not, when the model has noise. 10 * gamma is taken once: the formula
+    When the model has noise, each call takes one noise draw per access
+    point, in order, heard or not: draw() where the access point is in
+    reach, skip() beyond it. 10 * gamma is taken once: the formula
     multiplies left to right, so (10 * gamma) * log10(x) is the same float.
     """
     d0 = REFERENCE_DISTANCE_M
     ten_gamma = 10.0 * model.path_loss_exponent
-    sigma = model.noise_sigma_db
-    noisy = sigma > 0
+    noisy = model.noise_sigma_db > 0
+    noise_bound = _Z_BOUND * model.noise_sigma_db
+
+    def reach2(tx: float, floor: float) -> float:
+        # Beyond this squared distance tx - ten_gamma * log10(d / d0) + noise
+        # stays below floor for any noise. The 1e-9 terms are far wider than
+        # the rounding of either side.
+        span = tx - floor + noise_bound
+        span += 1e-9 * (abs(tx) + abs(floor) + span)
+        try:
+            reach = d0 * 10.0 ** (span / ten_gamma) * (1.0 + 1e-9)
+        except OverflowError:
+            return math.inf
+        return reach * reach
+
     nodes = tuple(
-        (ap.position.x, ap.position.y, ap.tx_power_dbm, ap.detection_floor_dbm, ap) for ap in aps
+        (
+            ap.position.x,
+            ap.position.y,
+            ap.tx_power_dbm,
+            ap.detection_floor_dbm,
+            reach2(ap.tx_power_dbm, ap.detection_floor_dbm),
+            ap,
+        )
+        for ap in aps
     )
     hypot, log10 = math.hypot, math.log10
 
     def heard_at(x: float, y: float) -> list[tuple[ApNode, float]]:
         heard = []
-        for ax, ay, tx, floor, ap in nodes:
-            d = hypot(x - ax, y - ay)
+        for ax, ay, tx, floor, far2, ap in nodes:
+            dx = x - ax
+            dy = y - ay
+            if dx * dx + dy * dy > far2:
+                if noisy:
+                    skip()
+                continue
+            d = hypot(dx, dy)
             if d < d0:
                 d = d0
             level = tx - ten_gamma * log10(d / d0)
             if noisy:
-                level += gauss(0.0, sigma)
+                level += draw()
             if level >= floor:
                 heard.append((ap, level))
         return heard
@@ -295,14 +376,16 @@ def rssi_at(
     """Modeled received level at pos, or None when below the detection floor.
 
     Noise is drawn from rng (the module-level generator when omitted), so
-    pass the scenario generator for reproducible traces. A coordinate that is
+    pass the scenario generator for reproducible traces; with noise, each
+    call makes exactly one rng.gauss call, heard or not. A coordinate that is
     not finite raises ValueError.
     """
     x, y = pos
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"position must be finite, got {tuple(pos)}")
     gauss = (rng if rng is not None else random).gauss
-    heard = _receiver((ap,), model, gauss)(x, y)
+    noise = functools.partial(gauss, 0.0, model.noise_sigma_db)
+    heard = _receiver((ap,), model, noise, noise)(x, y)
     return heard[0][1] if heard else None
 
 
@@ -320,7 +403,7 @@ def simulate(scenario: MobilityScenario) -> SimulationResult:
     dt = scenario.sample_interval
     steps = int(math.floor(scenario.duration / dt + 1e-9)) + 1
     dropout = scenario.dropout_rate
-    heard_at = _receiver(scenario.aps, scenario.radio, rng.gauss)
+    heard_at = _receiver(scenario.aps, scenario.radio, *_noise(rng, scenario.radio.noise_sigma_db))
     # One entry per path: its group (None for a loner) and its riders, each
     # with its offset from the path (None for a loner, who rides the path).
     walkers: list[tuple[WaypointPath, str | None, tuple[tuple[DeviceId, Point | None], ...]]] = [

@@ -147,13 +147,14 @@ class TrajectoryDb:
             raise ValueError(f"grid timestamp must be an integer, got {t!r}")
         if not obj:
             raise ValueError("object id must be non-empty")
+        point = _check_point(point)
         samples = self._objects.get(obj)
         if samples is None:
             samples = self._objects[obj] = {}
             insort(self._order, obj)
         if t in samples:
             raise NonMonotoneTimestampError(f"object {obj}: duplicate sample at t={t}")
-        samples[t] = _check_point(point)
+        samples[t] = point
 
     @property
     def objects(self) -> list[ObjectId]:
@@ -197,15 +198,6 @@ class TrajectoryDb:
                 elif t > hi:
                     hi = t
         return None if lo is None else (lo, hi)
-
-
-def neighborhood(
-    center: Point, points: Iterable[tuple[ObjectId, Point]], e: float
-) -> list[ObjectId]:
-    """Ids of points within distance e of center, inclusive, sorted."""
-    if not e > 0:
-        raise ValueError(f"e must be positive, got {e}")
-    return sorted(obj for obj, p in points if center.distance_to(p) <= e)
 
 
 def density_clusters(

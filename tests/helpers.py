@@ -210,6 +210,13 @@ def rebuild_without(log: ProximityLog, device: str, index: int) -> ProximityLog:
 # --- Trajectory oracles ------------------------------------------------------
 
 
+def neighborhood(center: Point, points, e: float) -> list[str]:
+    """Ids of points within distance e of center, inclusive, sorted."""
+    if not e > 0:
+        raise ValueError(f"e must be positive, got {e}")
+    return sorted(obj for obj, p in points if center.distance_to(p) <= e)
+
+
 def dbscan_oracle(
     points: list[tuple[str, Point]], e: float, m: int
 ) -> set[frozenset[str]]:
@@ -221,7 +228,7 @@ def dbscan_oracle(
     """
     pos = dict(points)
     ids = sorted(pos)
-    nh = {a: {b for b in ids if pos[a].distance_to(pos[b]) <= e} for a in ids}
+    nh = {a: set(neighborhood(pos[a], pos.items(), e)) for a in ids}
     cores = {a for a in ids if len(nh[a]) >= m}
     reach: dict[str, set[str]] = {}
     for seed in cores:

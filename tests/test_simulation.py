@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -35,7 +36,7 @@ from convoylog import (
     write_scenario,
     write_trajectories_jsonl,
 )
-from convoylog.simulation import MAX_SAMPLES
+from convoylog.simulation import MAX_SAMPLES, REFERENCE_DISTANCE_M, _noise
 from helpers import (
     UNDECODABLE_LINES,
     json_values,
@@ -99,6 +100,44 @@ class TestRadio:
         for pos in (Point(bad, 0.0), Point(0.0, bad)):
             with pytest.raises(ValueError):
                 rssi_at(ap(), pos, model)
+
+
+class TestNoise:
+    """simulate's noise source against random.Random.gauss, draw for draw."""
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.5, 4.0])
+    def test_draws_match_gauss(self, sigma):
+        # draw() and skip() stand for gauss calls whose value is kept or not;
+        # plain random() calls, as dropout makes, fall in between.
+        ops = random.Random(int(sigma * 10))
+        skipped_with_pending = set()
+        for seed in (0, 1, 2):
+            rng, want = random.Random(seed), random.Random(seed)
+            draw, skip = _noise(rng, sigma)
+            gauss_calls = 0
+            for _ in range(400):
+                op = ops.choice(("draw", "skip", "random"))
+                if op == "random":
+                    assert rng.random() == want.random()
+                    continue
+                if op == "draw":
+                    assert draw() == want.gauss(0.0, sigma)
+                else:
+                    skipped_with_pending.add(gauss_calls % 2 == 1)
+                    skip()
+                    want.gauss(0.0, sigma)
+                gauss_calls += 1
+            assert rng.random() == want.random()
+        assert skipped_with_pending == {False, True}  # both pair parities skipped
+
+    @pytest.mark.parametrize("x, heard", [(3.0, True), (5000.0, False)], ids=["near", "far"])
+    def test_rssi_at_makes_one_gauss_call(self, x, heard):
+        model = RadioModel(path_loss_exponent=2.5, noise_sigma_db=1.5)
+        rng, want = random.Random(4), random.Random(4)
+        for _ in range(3):  # with and without a pending half
+            assert (rssi_at(ap(), Point(x, 0.0), model, rng) is not None) == heard
+            want.gauss(0.0, 1.5)
+            assert rng.getstate() == want.getstate()
 
 
 class TestPaths:
@@ -354,6 +393,74 @@ def assert_matches_reference(scenario: MobilityScenario) -> SimulationResult:
     return res
 
 
+def sparse_city(seed: int) -> MobilityScenario:
+    """A 3 x 3 grid of access points 300 m apart, walked by two groups and
+    three loners from access point to access point, with sigma 4 and dropout
+    0.3. Without noise an access point is heard out to about 15 m (path loss
+    exponent 3, floor 35 dB below tx); noise can stretch that to about 200 m,
+    so a device is in reach of at most four of the nine at a time."""
+    rng = random.Random(seed)
+    grid = [(300.0 * (k % 3), 300.0 * (k // 3)) for k in range(9)]
+
+    def walk() -> WaypointPath:
+        stops = rng.sample(grid, 4)
+        return path_through([(x + rng.uniform(-5, 5), y + rng.uniform(-5, 5)) for x, y in stops], 120.0)
+
+    aps = tuple(
+        ap(x=x, y=y, floor=-75.0, bssid=f"0a:00:00:00:00:{k + 1:02x}") for k, (x, y) in enumerate(grid)
+    )
+    groups = (
+        GroupSpec("g1", ("02:00:00:00:00:01", "02:00:00:00:00:02", "02:00:00:00:00:03"), walk(),
+                  (Point(0.0, 0.5), Point(0.0, 0.0), Point(0.0, -0.5))),
+        GroupSpec("g2", ("02:00:00:00:00:04", "02:00:00:00:00:05"), walk()),
+    )
+    loners = tuple(LonerSpec(f"03:00:00:00:00:{i:02x}", walk()) for i in (1, 2, 3))
+    return MobilityScenario(
+        name="sparse",
+        aps=aps,
+        groups=groups,
+        loners=loners,
+        radio=RadioModel(path_loss_exponent=3.0, noise_sigma_db=4.0, seed=seed),
+        sample_interval=1.0,
+        duration=120.0,
+        dropout_rate=0.3,
+    )
+
+
+def unhearable(seed: int) -> MobilityScenario:
+    """The sparse city with one access point, placed where group g1 starts,
+    that no noise can lift to its floor even at d0. ApNode requires a floor
+    below tx_power_dbm, where the access point is heard at d0 without noise,
+    so the floor is raised after construction."""
+    city = sparse_city(seed)
+    node = ap(x=city.groups[0].path.waypoints[0].x, y=city.groups[0].path.waypoints[0].y)
+    object.__setattr__(node, "detection_floor_dbm", node.tx_power_dbm + 40.0)
+    return dataclasses.replace(city, name="unhearable", aps=(node,))
+
+
+def reach(node: ApNode, radio: RadioModel) -> float:
+    """A distance beyond which node stays below its floor at any noise: a
+    Gaussian draw of random.Random is at most about 8.57 sigma from the mean."""
+    span = node.tx_power_dbm - node.detection_floor_dbm + 8.6 * radio.noise_sigma_db
+    return REFERENCE_DISTANCE_M * 10 ** (span / (10.0 * radio.path_loss_exponent))
+
+
+def computed_levels(scenario: MobilityScenario, monkeypatch) -> int:
+    """How many levels simulate computes for scenario (its log10 calls)."""
+    log10 = math.log10
+    calls = 0
+
+    def counting(x):
+        nonlocal calls
+        calls += 1
+        return log10(x)
+
+    with monkeypatch.context() as m:
+        m.setattr(math, "log10", counting)
+        simulate(scenario)
+    return calls
+
+
 class TestReference:
     @pytest.mark.parametrize("seed", [0, 7, 13, 99])
     def test_builtin_scenarios_match_reference(self, seed):
@@ -375,6 +482,29 @@ class TestReference:
                 for i in range(steps)
             )
         assert whole_group_dropped  # the case is covered, not just possible
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("build", [sparse_city, unhearable])
+    def test_access_points_out_of_reach_match_reference(self, build, seed, monkeypatch):
+        scenario = build(seed)
+        res = assert_matches_reference(scenario)
+        db = res.trajectories
+        positions = [p for d in db.objects for p in db.positions(d).values()]
+        pairs = len(positions) * len(scenario.aps)
+        in_reach = sum(
+            p.distance_to(node.position) <= reach(node, scenario.radio)
+            for node in scenario.aps
+            for p in positions
+        )
+        # Most pairs lie beyond reach, and simulate computes no level there,
+        # so the skipped draws are exercised, not just possible.
+        assert in_reach < pairs / 2
+        assert computed_levels(scenario, monkeypatch) <= in_reach
+        if build is unhearable:
+            assert reach(scenario.aps[0], scenario.radio) < REFERENCE_DISTANCE_M
+            assert not any(fp.env.observations for d in res.proximity.devices for fp in res.proximity.track(d))
+        else:
+            assert any(fp.env.observations for d in res.proximity.devices for fp in res.proximity.track(d))
 
 
 class TestBuiltinScenarios:

@@ -15,7 +15,6 @@ from convoylog import (
     UnknownDeviceError,
     density_clusters,
     discover_convoys,
-    neighborhood,
     read_trajectories_jsonl,
     write_trajectories_jsonl,
 )
@@ -25,6 +24,7 @@ from helpers import (
     dbscan_oracle,
     jsonl_ending_with,
     jsonl_text,
+    neighborhood,
     reference_convoys,
     regrouping_db,
 )
@@ -73,6 +73,15 @@ class TestDb:
         with pytest.raises(ValueError):
             db.add("o1", True, Point(0, 0))
 
+    @pytest.mark.parametrize("t, point", [(0, Point(float("nan"), 0)), (0.5, Point(0, 0))])
+    def test_rejected_sample_registers_no_object(self, t, point):
+        db = TrajectoryDb()
+        with pytest.raises(ValueError):
+            db.add("a", t, point)
+        assert db.objects == []
+        assert len(db) == 0
+        assert "a" not in db
+
     def test_positions_unknown_object(self):
         with pytest.raises(UnknownDeviceError):
             TrajectoryDb().positions("ghost")
@@ -90,6 +99,8 @@ class TestDb:
 
 
 class TestNeighborhood:
+    """The brute-force neighbour search dbscan_oracle is built on."""
+
     def test_basic_distances(self):
         points = [("a", Point(0, 0)), ("b", Point(1, 0)), ("c", Point(3, 0))]
         assert neighborhood(Point(0, 0), points, 1.0) == ["a", "b"]

@@ -138,7 +138,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         for a, b in zip(samples, samples[1:]):
             if a.t == b.t:
                 raise LogFormatError(
-                    f"device {device}: conflicting samples at t={a.t:g} across inputs"
+                    f"device {device}: conflicting samples at t={a.t} across inputs"
                 )
         for fp in samples:
             out.ingest(device, fp)

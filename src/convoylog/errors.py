@@ -38,10 +38,6 @@ class LogFormatError(ConvoylogError):
         self.line = line
 
 
-class EmptyTrackError(ConvoylogError):
-    """A track comparison was asked to match an empty reference track."""
-
-
 class EmptyEnvironmentError(ConvoylogError):
     """A group query started from a snapshot with no visible networks."""
 

@@ -10,24 +10,29 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from convoylog import (
     ApObservation,
-    ComparabilityParams,
     Convoy,
     ConvoyParams,
+    ConvoylogError,
+    DuplicateBssidError,
     EnvironmentSnapshot,
     Fingerprint,
     GroundTruthRecord,
     GroupQueryParams,
+    LogFormatError,
     MobilityScenario,
     ProximityLog,
     canonical_id,
+    comparable,
     density_clusters,
-    tracks_similar,
 )
 from convoylog.trajectories import Point, TrajectoryDb
 
@@ -130,6 +135,153 @@ def processed_user_steps(
     return sorted(steps, key=lambda fp: fp.t)
 
 
+# --- Log reader reference ----------------------------------------------------
+
+
+def _reference_require(obj: Mapping, key: str, kinds, where: str):
+    try:
+        value = obj[key]
+    except KeyError:
+        raise LogFormatError(f"{where}: missing field {key!r}") from None
+    except TypeError:
+        raise LogFormatError(f"{where} must be a JSON object") from None
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise LogFormatError(f"{where}: field {key!r} has wrong type")
+    return value
+
+
+def reference_fingerprint(obj) -> tuple[str, Fingerprint]:
+    """fingerprint_from_json as a plain decoder: every field checked through
+    isinstance and Mapping in record order, one ApObservation per reading."""
+    if not isinstance(obj, Mapping):
+        raise LogFormatError("record must be a JSON object")
+    device = _reference_require(obj, "device", str, "record")
+    t = _reference_require(obj, "t", (int, float), "record")
+    aps = _reference_require(obj, "aps", list, "record")
+    try:
+        observations = []
+        for ap in aps:
+            if not isinstance(ap, Mapping):
+                raise LogFormatError("record: each ap must be a JSON object")
+            bssid = _reference_require(ap, "bssid", str, "ap")
+            rssi = _reference_require(ap, "rssi", (int, float), "ap")
+            if isinstance(rssi, float):
+                if not rssi.is_integer():
+                    raise LogFormatError(f"ap: rssi must be integer dBm, got {rssi}")
+                rssi = int(rssi)
+            ssid = ap.get("ssid", "")
+            if not isinstance(ssid, str):
+                raise LogFormatError("ap: field 'ssid' has wrong type")
+            observations.append(ApObservation(bssid, rssi, ssid))
+        env = EnvironmentSnapshot(tuple(observations))
+        return canonical_id(device), Fingerprint(t=t, env=env)
+    except (ValueError, DuplicateBssidError) as exc:
+        raise LogFormatError(str(exc)) from None
+
+
+def _reference_loads(line: str):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise LogFormatError(f"invalid JSON: {exc.msg}") from None
+    except ValueError:
+        raise LogFormatError("number has too many digits") from None
+    except RecursionError:
+        raise LogFormatError("JSON nested too deeply") from None
+
+
+def reference_read_log(source) -> ProximityLog:
+    """read_log_jsonl as a plain loop: each line of a path decoded as UTF-8
+    on its own, stripped, passed to json.loads and reference_fingerprint,
+    and ingested. A fault on a line raises the LogFormatError, numbered with
+    the line, that read_log_jsonl must raise for it."""
+    log = ProximityLog()
+    fh = open(source, "rb") if isinstance(source, (str, Path)) else source
+    try:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                if isinstance(line, bytes):
+                    line = line.decode("utf-8")
+                line = line.strip()
+                if line:
+                    log.ingest(*reference_fingerprint(_reference_loads(line)))
+            except (ConvoylogError, ValueError) as exc:
+                raise LogFormatError(str(exc), line=lineno) from None
+    finally:
+        if fh is not source:
+            fh.close()
+    return log
+
+
+# --- Track matching oracle ---------------------------------------------------
+
+
+class EmptyTrackError(ConvoylogError):
+    """A track comparison was asked to match an empty reference track."""
+
+
+@dataclass(frozen=True)
+class ComparabilityParams:
+    """Thresholds for snapshot and track matching.
+
+    omega: RSSI comparability threshold in dB; pairs must differ by less
+        than this at some shared access point.
+    delta: time alignment tolerance in seconds; matched samples may be at
+        most this far apart.
+    """
+
+    omega: float
+    delta: float
+
+    def __post_init__(self):
+        if not self.omega > 0:
+            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not self.delta >= 0:
+            raise ValueError(f"delta must be non-negative, got {self.delta}")
+
+
+def _time_ordered(track: Sequence[Fingerprint]) -> bool:
+    return all(track[i].t < track[i + 1].t for i in range(len(track) - 1))
+
+
+def tracks_similar(
+    reference: Sequence[Fingerprint],
+    other: Sequence[Fingerprint],
+    params: ComparabilityParams,
+) -> bool:
+    """Test for an order-preserving full matching of reference into other.
+
+    Every reference sample must find a partner in other within params.delta
+    seconds whose snapshot is comparable within params.omega; partner times
+    never decrease as the reference advances. Matching is directional: other
+    may have unmatched samples and may lend one sample to several reference
+    samples. Raises EmptyTrackError when the reference track has no samples
+    (an empty reference has no movement to confirm, so the question is
+    ill-posed).
+
+    One backward pass decides this exactly: each reference sample, from the
+    last to the first, takes the latest admissible partner at or before the
+    one its successor took. Taking the latest partner leaves the earlier
+    reference samples the most room, so the pass fails only when no
+    order-preserving matching exists.
+    """
+    if len(reference) == 0:
+        raise EmptyTrackError("reference track has no samples")
+    if not _time_ordered(reference) or not _time_ordered(other):
+        raise ValueError("tracks must be in strictly increasing time order")
+
+    j = len(other) - 1
+    for fp in reversed(reference):
+        while j >= 0 and not (
+            abs(other[j].t - fp.t) <= params.delta
+            and comparable(fp.env, other[j].env, params.omega)
+        ):
+            j -= 1
+        if j < 0:
+            return False
+    return True
+
+
 def oracle_members(
     log: ProximityLog, user: str, t0: float, e0: EnvironmentSnapshot, params: GroupQueryParams
 ) -> frozenset[str]:
@@ -170,8 +322,6 @@ def witness_violations(
 ) -> list[tuple[str, float]]:
     """(device, step time) pairs where a member lacks any comparable sample
     in the step's window. Soundness demands this list be empty."""
-    from convoylog import comparable
-
     user = canonical_id(user)
     steps: list[tuple[float, EnvironmentSnapshot, bool]] = [(t0, e0, True)]
     if user in log:

@@ -152,6 +152,18 @@ class TestIngest:
         assert code == 1
         assert "conflicting samples" in err
 
+    def test_conflict_names_the_full_epoch_time(self, tmp_path, capsys):
+        for name in ("a.jsonl", "b.jsonl"):
+            log = ProximityLog()
+            put(log, A, 1357000000.5, {X: -50})
+            write_log_jsonl(log, tmp_path / name)
+        code, _, err = run(
+            capsys, "ingest", str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl"),
+            "--out", str(tmp_path / "merged.jsonl"),
+        )
+        assert code == 1
+        assert f"device {A}: conflicting samples at t=1357000000.5 across inputs" in err
+
 
 class TestQueryGroup:
     def test_latest_query(self, tmp_path, capsys):

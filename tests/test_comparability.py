@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from convoylog import (
     ApObservation,
-    ComparabilityParams,
-    EmptyTrackError,
     EnvironmentSnapshot,
     Fingerprint,
     comparable,
+)
+from helpers import (
+    ComparabilityParams,
+    EmptyTrackError,
+    random_snapshot,
+    snapshot,
     tracks_similar,
 )
-from helpers import random_snapshot, snapshot
 
 X = "0a:00:00:00:00:01"
 Y = "0a:00:00:00:00:02"

@@ -2,9 +2,10 @@ import io
 import json
 import random
 import re
+import types
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convoylog import (
@@ -23,7 +24,15 @@ from convoylog import (
     write_log_jsonl,
 )
 from convoylog.proximity import fingerprint_from_json
-from helpers import UNDECODABLE_LINES, jsonl_ending_with, jsonl_text, put, snapshot
+from helpers import (
+    UNDECODABLE_LINES,
+    jsonl_ending_with,
+    jsonl_text,
+    put,
+    reference_fingerprint,
+    reference_read_log,
+    snapshot,
+)
 
 RECORD_KEYS = ("device", "t", "aps", "bssid", "rssi", "ssid")
 A, B = "02:00:00:00:00:01", "02:00:00:00:00:02"
@@ -252,6 +261,16 @@ class TestLog:
         assert log.devices == ["02:00:00:00:00:01"]
         assert log.track("02:00:00:00:00:01").last().t == 1.0
 
+    @pytest.mark.parametrize("device", [None, 7, ["a"], b"02:00:00:00:00:01"])
+    def test_non_str_ids_fail_as_canonical_id_does(self, device):
+        with pytest.raises(Exception) as want:
+            canonical_id(device)
+        log = ProximityLog()
+        put(log, A, 1.0, {X: -50})
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            log.ingest(device, Fingerprint(2.0, EnvironmentSnapshot()))
+        assert log.devices == [A]
+
     def test_measurements_in_window_picks_latest_per_device(self):
         log = ProximityLog()
         put(log, "02:00:00:00:00:01", 1.0, {"0a:00:00:00:00:01": -50})
@@ -439,6 +458,8 @@ class TestSharedObservations:
         with pytest.raises(LogFormatError) as err:
             read_log_jsonl(io.StringIO(text))
         assert err.value.line == 2
+        rejected = "field 'rssi' has wrong type" if rssi == "true" else f"rssi must be integer dBm, got {rssi}"
+        assert str(err.value) == f"line 2: ap: {rejected}"
 
     @given(log_records())
     def test_shared_read_writes_what_decoding_each_record_alone_writes(self, lines):
@@ -450,3 +471,147 @@ class TestSharedObservations:
         alone = io.StringIO()
         write_log_jsonl(alone_log, alone)
         assert shared.getvalue() == alone.getvalue()
+
+    def test_mapping_records_decode_as_dicts_do(self):
+        record = {"device": A.upper(), "t": 1.0, "aps": [ap(X, -50, ""), ap(Y, -61.0, "")]}
+        proxy = types.MappingProxyType(
+            {**record, "aps": [types.MappingProxyType(a) for a in record["aps"]]}
+        )
+        assert fingerprint_from_json(proxy) == fingerprint_from_json(record) == (
+            A, Fingerprint(1.0, snapshot({X: -50, Y: -61})),
+        )
+        with pytest.raises(LogFormatError, match="^ap: field 'rssi' has wrong type$"):
+            fingerprint_from_json(types.MappingProxyType({**record, "aps": [ap(X, True)]}))
+
+
+# --- The reader against the reference decoder --------------------------------
+
+# Field values a valid record holds, in the writer's spelling or another,
+# mixed with ones each check must reject.
+device_values = st.sampled_from([A, A, B, A.upper(), B.replace(":", "-"), " tablet ", "", None, 7])
+bssid_values = st.sampled_from([X, X, Y, X.upper(), "0A-00-00-00-00-02", "", True, None])
+rssi_values = st.sampled_from(
+    [-50, -50, -61, -50.0, -50.5, True, False, 1, 0.0, float("nan"), float("inf"), 10**30, 10**400, "-50", None]
+)
+ssid_values = st.sampled_from(["lobby", "", "hall", 5, None])
+# A line is a record's JSON, or that JSON with a BOM, surrounding
+# whitespace or extra data, or a line no record can be.
+framings = st.sampled_from(["{}"] * 12 + ["\ufeff{}", " {} ", "\t{}", "{} {{}}", "{}x"])
+other_lines = st.sampled_from(
+    ["[" * 100_000, '{"device": "02:00:00:00:00:01", "t": 1' + "0" * 5000 + ', "aps": []}', "{not json", "[]", "null", "3"]
+)
+
+
+@st.composite
+def maybe_fields(draw, fields: dict):
+    """fields, some of them left out, with sometimes an extra field."""
+    out = {k: v for k, v in fields.items() if draw(st.integers(0, 14)) < 14}
+    if draw(st.booleans()):
+        out["extra"] = draw(st.sampled_from([1, "x", None]))
+    return out
+
+
+@st.composite
+def reader_lines(draw):
+    """JSONL lines of records, valid and malformed, with faults anywhere and
+    often several in one record. Times mostly rise, per device."""
+    lines = []
+    for i in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 14)) == 14:
+            lines.append(draw(other_lines))
+            continue
+        aps = []
+        for _ in range(draw(st.integers(0, 3))):
+            if draw(st.integers(0, 14)) == 14:
+                aps.append(draw(st.sampled_from([[], "ap", 3, None])))
+            else:
+                aps.append(draw(maybe_fields({
+                    "ssid": draw(ssid_values), "bssid": draw(bssid_values), "rssi": draw(rssi_values),
+                })))
+        t = draw(st.sampled_from([float(i), i, float(i) + 0.5, 0.0, float("nan"), 10**400, True, "1"]))
+        aps_value = draw(st.sampled_from([aps] * 6 + [{}, "aps"]))
+        record = draw(maybe_fields({"device": draw(device_values), "t": t, "aps": aps_value}))
+        if draw(st.integers(0, 19)) == 19:
+            record = [record]
+        lines.append(draw(framings).format(json.dumps(record)))
+    return lines
+
+
+def outcome(read, source) -> tuple[str, ...]:
+    """The log a read writes, or the error it raises and its line."""
+    try:
+        out = io.StringIO()
+        write_log_jsonl(read(source), out)
+        return ("log", out.getvalue())
+    except LogFormatError as exc:
+        return ("error", str(exc), exc.line)
+
+
+def record_outcome(decode, obj) -> tuple:
+    try:
+        return ("record", decode(obj))
+    except LogFormatError as exc:
+        return ("error", str(exc))
+
+
+# One line per kind of record the reader must take or reject, after a good
+# first line, with the error it must raise there (None: the line is valid).
+READER_CASES = {
+    "bool-rssi": (jsonl((A, 1.0, [ap(X, True)])), "ap: field 'rssi' has wrong type"),
+    "fractional-rssi": (jsonl((A, 1.0, [ap(X, -50.5)])), "ap: rssi must be integer dBm, got -50.5"),
+    "nan-rssi": (jsonl((A, 1.0, [ap(X, float("nan"))])), "ap: rssi must be integer dBm, got nan"),
+    "huge-int-rssi": (jsonl((A, 1.0, [ap(X, 10**400)])), None),
+    "ap-not-an-object": (jsonl((A, 1.0, [[X, -50]])), "record: each ap must be a JSON object"),
+    "ssid-not-a-string": (jsonl((A, 1.0, [ap(X, -50, 5)])), "ap: field 'ssid' has wrong type"),
+    "missing-field": ('{"device": "%s", "aps": []}' % A, "record: missing field 't'"),
+    "extra-field": ('{"device": "%s", "t": 1.0, "aps": [], "seen": 2}' % A, None),
+    "bssid-in-two-spellings": (
+        jsonl((A, 1.0, [ap(X, -50), ap(X.upper(), -51)])), f"duplicate access point {X}"
+    ),
+    "ids-not-canonical": (jsonl((" Tablet ", 1.0, [ap("0A-00-00-00-00-01", -50)])), None),
+    "bom": ("\ufeff" + jsonl((A, 1.0, [])), "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    "surrounding-whitespace": (" \t" + jsonl((A, 1.0, [])).strip() + " \u2028", None),
+    "extra-data": (jsonl((A, 1.0, [])).strip() + " {}", "invalid JSON: Extra data"),
+    "deep-nesting": ("[" * 100_000, "JSON nested too deeply"),
+    "ap-fault-before-id-fault": (
+        '{"device": "", "t": NaN, "aps": [{"bssid": "", "rssi": true}]}', "ap: field 'rssi' has wrong type"
+    ),
+    "bssid-fault-before-device-fault": (
+        '{"device": "", "t": NaN, "aps": [{"bssid": "", "rssi": 1}]}', "identifier must be non-empty"
+    ),
+    "device-fault-first": ('{"device": 7, "t": "x", "aps": {}}', "record: field 'device' has wrong type"),
+    "time-fault-last": (
+        '{"device": "%s", "t": 1e999, "aps": [{"bssid": "%s", "rssi": -5}]}' % (A, X),
+        "timestamp must be finite, got inf",
+    ),
+}
+
+
+class TestReaderMatchesReference:
+    @settings(deadline=None)
+    @given(lines=reader_lines())
+    def test_same_log_or_same_error(self, tmp_path_factory, lines):
+        text = "".join(line + "\n" for line in lines)
+        path = tmp_path_factory.getbasetemp() / "reader-lines.jsonl"
+        path.write_text(text, encoding="utf-8")
+        want = outcome(reference_read_log, io.StringIO(text))
+        assert outcome(read_log_jsonl, io.StringIO(text)) == want
+        assert outcome(read_log_jsonl, path) == outcome(reference_read_log, path) == want
+        for line in lines:
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError):
+                continue
+            assert record_outcome(fingerprint_from_json, obj) == record_outcome(reference_fingerprint, obj)
+
+    @pytest.mark.parametrize("line, message", READER_CASES.values(), ids=READER_CASES.keys())
+    def test_each_case_reads_as_the_reference_reads_it(self, tmp_path, line, message):
+        text = jsonl((B, 0.5, [ap(X, -50)])) + line.rstrip("\n") + "\n"
+        path = tmp_path / "log.jsonl"
+        path.write_text(text, encoding="utf-8")
+        want = outcome(reference_read_log, io.StringIO(text))
+        if message is None:
+            assert want[0] == "log"
+        else:
+            assert want == ("error", f"line 2: {message}", 2)
+        assert outcome(read_log_jsonl, io.StringIO(text)) == outcome(read_log_jsonl, path) == want

@@ -101,7 +101,7 @@ def _resolve_t0(log: ProximityLog, device: str, raw: str) -> float:
 def _resolve_snapshot(log: ProximityLog, device: str, t0: float, delta: float) -> Fingerprint:
     fp = log.track(device).nearest_in_window(t0, delta)
     if fp is None:
-        raise ConvoylogError(f"device {device} has no sample within {delta} s of t0={t0:g}")
+        raise ConvoylogError(f"device {device} has no sample within {delta} s of t0={t0}")
     return fp
 
 

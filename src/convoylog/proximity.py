@@ -26,16 +26,12 @@ the full normalization. Decoding a record canonicalises its device id once,
 and ingest looks a str id up as given before it canonicalises, so a record
 read from a log pays for one canonical_id on its device, not two.
 
-Decoding tests a record by exact type first: a dict whose device is a str,
-t a float or int, aps a list of dicts with a str bssid, an int rssi and a
-str ssid, which is what json gives for a valid record, needs no further
-check. Anything else (a Mapping that is not a dict, an rssi of -50.0, any
-fault) is checked field by field in record order, so a record with several
-faults reports the first, as it always has. With the C scanner in
-jsonio.loads, this cut read_log_jsonl on the benchmark's seed-1 2000-line
-slices from 12.4 to 9.1 us a line on crowd and from 23.8 to 16.9 us on
-long-history, and fingerprint_from_json from 7.7 to 6.0 us a crowd record
-(medians of 15 alternating in-process pairs, 2-core Xeon VM, Python 3.11.7).
+Decoding checks a record in one pass, field by field in record order, so
+a record with several faults reports the first. Each field is tested first
+for the exact type json gives a valid one (a dict record, a str device, a
+float or int t, a list of dict aps, a str bssid, an int rssi, a str ssid);
+only a field that misses (a Mapping that is not a dict, an rssi of -50.0,
+any fault) takes the general check and its error message.
 
 Scans repeat the same readings: an access point heard at the same integer
 level under the same ssid. Observations are immutable, so one log read
@@ -53,7 +49,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
@@ -125,6 +121,8 @@ class ApObservation:
         object.__setattr__(self, "bssid", canonical_id(self.bssid))
         if isinstance(self.rssi, bool) or not isinstance(self.rssi, int):
             raise ValueError(f"rssi must be an integer dBm value, got {self.rssi!r}")
+        if not isinstance(self.ssid, str):
+            raise ValueError(f"ssid must be a string, got {self.ssid!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,12 +176,10 @@ class ProximityTrack:
 
     __slots__ = ("device", "_samples", "_times")
 
-    def __init__(self, device: DeviceId, samples: Iterable[Fingerprint] = ()):
+    def __init__(self, device: DeviceId):
         self.device = canonical_id(device)
         self._samples: list[Fingerprint] = []
         self._times: list[float] = []
-        for fp in samples:
-            self.append(fp)
 
     @property
     def samples(self) -> list[Fingerprint]:
@@ -347,63 +343,43 @@ def _shared_observations() -> Callable[[str, int, str], ApObservation]:
 def _fingerprint_from_json(
     obj: Mapping, observation: Callable[[str, int, str], ApObservation]
 ) -> tuple[DeviceId, Fingerprint]:
+    """Decode one record in one pass, as the module docstring describes."""
+    if type(obj) is not dict and not isinstance(obj, Mapping):
+        raise LogFormatError("record must be a JSON object")
+    device = obj.get("device")
+    if type(device) is not str:
+        device = require(obj, "device", str, "record")
+    t = obj.get("t")
+    if type(t) is not float and type(t) is not int:
+        t = require(obj, "t", (int, float), "record")
+    aps = obj.get("aps")
+    if type(aps) is not list:
+        aps = require(obj, "aps", list, "record")
     try:
-        # A record in the exact types json gives a valid one passes on type
-        # tests alone; anything else goes through _checked_fields.
-        observations = None
-        if type(obj) is dict:
-            device, t, aps = obj.get("device"), obj.get("t"), obj.get("aps")
-            if type(device) is str and type(t) in (float, int) and type(aps) is list:
-                observations = _plain_observations(aps, observation)
-        if observations is None:
-            device, t, observations = _checked_fields(obj, observation)
+        observations = []
+        for ap in aps:
+            if type(ap) is not dict and not isinstance(ap, Mapping):
+                raise LogFormatError("record: each ap must be a JSON object")
+            bssid = ap.get("bssid")
+            if type(bssid) is not str:
+                bssid = require(ap, "bssid", str, "ap")
+            rssi = ap.get("rssi")
+            if type(rssi) is not int:
+                rssi = require(ap, "rssi", (int, float), "ap")
+                if isinstance(rssi, float):
+                    if not rssi.is_integer():
+                        raise LogFormatError(f"ap: rssi must be integer dBm, got {rssi}")
+                    rssi = int(rssi)
+            # Checked before observation: its table must never see an
+            # unhashable ssid.
+            ssid = ap.get("ssid", "")
+            if not isinstance(ssid, str):
+                raise LogFormatError("ap: field 'ssid' has wrong type")
+            observations.append(observation(bssid, rssi, ssid))
         env = EnvironmentSnapshot(tuple(observations))
         return canonical_id(device), Fingerprint(t, env)
     except (ValueError, DuplicateBssidError) as exc:
         raise LogFormatError(str(exc)) from None
-
-
-def _plain_observations(
-    aps: list, observation: Callable[[str, int, str], ApObservation]
-) -> list[ApObservation] | None:
-    """The observations of aps when every ap is a dict with a str bssid, an
-    int rssi and a str ssid (or none); None at the first one that is not."""
-    observations = []
-    for ap in aps:
-        if type(ap) is not dict:
-            return None
-        bssid, rssi, ssid = ap.get("bssid"), ap.get("rssi"), ap.get("ssid", "")
-        if type(bssid) is not str or type(rssi) is not int or type(ssid) is not str:
-            return None
-        observations.append(observation(bssid, rssi, ssid))
-    return observations
-
-
-def _checked_fields(
-    obj: Mapping, observation: Callable[[str, int, str], ApObservation]
-) -> tuple[str, int | float, list[ApObservation]]:
-    """Device, time and observations of any record, checked field by field in
-    record order: the first fault found is the one raised."""
-    if not isinstance(obj, Mapping):
-        raise LogFormatError("record must be a JSON object")
-    device = require(obj, "device", str, "record")
-    t = require(obj, "t", (int, float), "record")
-    aps = require(obj, "aps", list, "record")
-    observations = []
-    for ap in aps:
-        if not isinstance(ap, Mapping):
-            raise LogFormatError("record: each ap must be a JSON object")
-        bssid = require(ap, "bssid", str, "ap")
-        rssi = require(ap, "rssi", (int, float), "ap")
-        if isinstance(rssi, float):
-            if not rssi.is_integer():
-                raise LogFormatError(f"ap: rssi must be integer dBm, got {rssi}")
-            rssi = int(rssi)
-        ssid = ap.get("ssid", "")
-        if not isinstance(ssid, str):
-            raise LogFormatError("ap: field 'ssid' has wrong type")
-        observations.append(observation(bssid, rssi, ssid))
-    return device, t, observations
 
 
 def read_log_jsonl(source: str | Path | IO[str]) -> ProximityLog:

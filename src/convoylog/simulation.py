@@ -86,6 +86,8 @@ class ApNode:
 
     def __post_init__(self):
         object.__setattr__(self, "bssid", canonical_id(self.bssid))
+        if not isinstance(self.ssid, str):
+            raise InvalidScenarioError(f"ap {self.bssid}: ssid must be a string")
         position = _finite_points((self.position,), f"ap {self.bssid}: position")[0]
         object.__setattr__(self, "position", position)
         if not -math.inf < self.detection_floor_dbm < self.tx_power_dbm < math.inf:

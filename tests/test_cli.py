@@ -251,6 +251,18 @@ class TestQueryGroup:
         assert code == 1
         assert "t0" in err
 
+    def test_missing_snapshot_names_the_full_epoch_time(self, tmp_path, capsys):
+        log_path = tmp_path / "log.jsonl"
+        log = ProximityLog()
+        put(log, A, 1357000100.0, {X: -50})
+        write_log_jsonl(log, log_path)
+        code, stdout, err = run(
+            capsys, "query-group", "--log", str(log_path), "--device", A, "--t0", "1357000000.5"
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: device {A} has no sample within 2.0 s of t0=1357000000.5\n"
+
     def test_bad_delta(self, tmp_path, capsys):
         log_path = tmp_path / "log.jsonl"
         write_example_log(log_path)

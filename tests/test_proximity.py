@@ -115,6 +115,12 @@ class TestSnapshots:
         with pytest.raises(ValueError):
             ApObservation("aa:bb:cc:00:11:22", -60.5)
 
+    @pytest.mark.parametrize("ssid", [None, 5, ["lobby"]])
+    def test_observation_requires_str_ssid(self, ssid):
+        # A non-str ssid would be written as a field the reader rejects.
+        with pytest.raises(ValueError, match="ssid must be a string"):
+            ApObservation("aa:bb:cc:00:11:22", -60, ssid)
+
     def test_duplicate_bssid_rejected(self):
         obs = (
             ApObservation("aa:bb:cc:00:11:22", -60),
@@ -477,7 +483,9 @@ class TestSharedObservations:
         proxy = types.MappingProxyType(
             {**record, "aps": [types.MappingProxyType(a) for a in record["aps"]]}
         )
-        assert fingerprint_from_json(proxy) == fingerprint_from_json(record) == (
+        # A dict record whose second ap alone is not a dict.
+        mixed = {**record, "aps": [record["aps"][0], types.MappingProxyType(record["aps"][1])]}
+        assert fingerprint_from_json(proxy) == fingerprint_from_json(mixed) == fingerprint_from_json(record) == (
             A, Fingerprint(1.0, snapshot({X: -50, Y: -61})),
         )
         with pytest.raises(LogFormatError, match="^ap: field 'rssi' has wrong type$"):
@@ -580,6 +588,8 @@ READER_CASES = {
         '{"device": "", "t": NaN, "aps": [{"bssid": "", "rssi": 1}]}', "identifier must be non-empty"
     ),
     "device-fault-first": ('{"device": 7, "t": "x", "aps": {}}', "record: field 'device' has wrong type"),
+    "float-rssi-after-plain-ap": (jsonl((A, 1.0, [ap(X, -50), ap(Y, -61.0)])), None),
+    "bool-rssi-after-plain-ap": (jsonl((A, 1.0, [ap(X, -50), ap(Y, True)])), "ap: field 'rssi' has wrong type"),
     "time-fault-last": (
         '{"device": "%s", "t": 1e999, "aps": [{"bssid": "%s", "rssi": -5}]}' % (A, X),
         "timestamp must be finite, got inf",

@@ -258,6 +258,14 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenarioError):
             ap(x=bad)
 
+    @pytest.mark.parametrize("ssid", [None, 5, b"lab"])
+    def test_non_str_ssid_rejected(self, ssid):
+        # Built from Python: simulate would write "ssid": null, which the
+        # log reader rejects. The scenario reader checks the field itself.
+        with pytest.raises(InvalidScenarioError, match="ssid must be a string"):
+            ApNode(bssid="0a:00:00:00:00:01", ssid=ssid, position=Point(0.0, 0.0),
+                   tx_power_dbm=-40.0, detection_floor_dbm=-95.0)
+
 
 class TestSimulate:
     def test_single_device_three_samples(self):

@@ -1,10 +1,11 @@
-"""The installed package imports nothing outside the standard library, and
-decodes JSON in one place.
+"""The installed package imports nothing outside the standard library,
+decodes JSON in one place, and exports what its __init__ imports.
 
 pyproject.toml declares no runtime dependencies; this keeps that true of the
 code. Relative imports stay inside the package and are not checked. Every
 reader decodes through jsonio.loads, so all of them share its fast path and
-its mapping of decoder errors to LogFormatError.
+its mapping of decoder errors to LogFormatError. A name moved out of the
+package must leave __all__ with its import, and no name is exported twice.
 """
 
 import ast
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import convoylog
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "convoylog"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -52,3 +55,16 @@ def test_only_jsonio_calls_the_json_decoder(path):
         elif isinstance(node, ast.ImportFrom) and node.module == "json" and node.level == 0:
             found += [f"from json import {a.name} on line {node.lineno}" for a in node.names if a.name in JSON_DECODERS]
     assert not found, f"{path.name} decodes JSON itself: {found}"
+
+
+def test_all_is_exactly_what_the_package_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(convoylog.__all__) == sorted(imported)
+    unresolved = [name for name in convoylog.__all__ if not hasattr(convoylog, name)]
+    assert not unresolved

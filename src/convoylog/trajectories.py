@@ -5,11 +5,28 @@ integer timestamp grid (missing samples allowed). A convoy is a set of at
 least m objects that stay density-connected, within distance e, for at
 least k consecutive grid timestamps.
 
-Mining has two parts: per-timestamp clustering (density_clusters, once
-per sampled timestamp) and one chaining pass over the sequence of
-(timestamp, clusters) pairs, which owns candidate intersection, run
-emission and the domination filter. The chaining sees only clusters, so
-any miner that clusters objects per timestamp can reuse it.
+The database is stored by timestamp, the order in which the miner reads
+it: for each sampled grid timestamp, three columns hold the object ids in
+ascending order and their xs and ys as plain floats. `add` checks its
+sample before it changes anything, then appends it when its id sorts last
+at that timestamp (the simulator adds each step's objects in id order) and
+inserts it at its bisected place otherwise. `positions_at(t)` reads one
+timestamp's columns; `positions(obj)` bisects every timestamp's ids, so it
+costs O(timestamps * log objects) per call, and the JSONL writer
+transposes the whole store once instead of calling it per object. The
+miner hands each timestamp's columns straight to the clustering, with no
+per-object lookup, id sort or coordinate check: on the benchmark's
+long-history workload this raised median convoy_samples_per_s from
+281k to 346k samples/s (+23.1 %, ten seeds) against the
+one-dict-per-object store it replaced (BENCH_timestamp_columns.json).
+
+Mining has two parts: per-timestamp clustering (once per sampled
+timestamp, over that timestamp's columns) and one chaining pass over the
+sequence of (timestamp, clusters) pairs, which owns candidate
+intersection, run emission and the domination filter. The chaining sees
+only clusters, so any miner that clusters objects per timestamp can reuse
+it. The public density_clusters checks labeled points, lays them out as
+the same columns and runs the same clustering.
 
 Per timestamp, objects are grouped by density clustering: an object is a
 core when at least m objects (itself included) lie within distance e of it
@@ -22,10 +39,10 @@ from two clusters lands in the cluster whose seed core has the smallest id.
 The order in which one cluster's growth visits its objects does not change
 its members. Results are therefore a pure function of the input.
 
-The clustering works on plain index lists: the points are sorted by id
-once, so index order is id order, and each index has its coordinates, its
-list of neighbor indices and an assigned flag. Seeds are taken in index
-order, which is the ascending-id order above.
+The clustering works on plain index lists: the columns are in id order,
+so index order is id order, and each index has its coordinates, its list
+of neighbor indices and an assigned flag. Seeds are taken in index order,
+which is the ascending-id order above.
 
 Neighborhoods are found by a sweep along x, the fixed-radius near-neighbor
 search of Bentley, Stanat and Williams (1977): objects are sorted by x, and
@@ -64,7 +81,7 @@ On-disk format is JSONL, one position per line:
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -86,14 +103,14 @@ class Point(NamedTuple):
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-def _check_point(p: Point) -> Point:
+def _coordinates(p: Point) -> tuple[float, float]:
     try:
-        p = Point(float(p[0]), float(p[1]))
+        x, y = float(p[0]), float(p[1])
     except OverflowError:
         raise ValueError("coordinates out of float range") from None
-    if not (math.isfinite(p.x) and math.isfinite(p.y)):
-        raise ValueError(f"coordinates must be finite, got {p}")
-    return p
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"coordinates must be finite, got {Point(x, y)}")
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -136,29 +153,43 @@ class Convoy:
 
 
 class TrajectoryDb:
-    """Positions of identified objects on a shared integer timestamp grid."""
+    """Positions of identified objects on a shared integer timestamp grid,
+    stored as per-timestamp columns (see the module docstring)."""
 
     def __init__(self):
-        self._objects: dict[ObjectId, dict[int, Point]] = {}
-        self._order: list[ObjectId] = []  # the keys of _objects, sorted
+        # t -> (object ids ascending, their xs, their ys)
+        self._steps: dict[int, tuple[list[ObjectId], list[float], list[float]]] = {}
+        self._objects: set[ObjectId] = set()
 
     def add(self, obj: ObjectId, t: int, point: Point) -> None:
         if isinstance(t, bool) or not isinstance(t, int):
             raise ValueError(f"grid timestamp must be an integer, got {t!r}")
+        if not isinstance(obj, str):
+            raise ValueError(f"object id must be a str, got {obj!r}")
         if not obj:
             raise ValueError("object id must be non-empty")
-        point = _check_point(point)
-        samples = self._objects.get(obj)
-        if samples is None:
-            samples = self._objects[obj] = {}
-            insort(self._order, obj)
-        if t in samples:
-            raise NonMonotoneTimestampError(f"object {obj}: duplicate sample at t={t}")
-        samples[t] = point
+        x, y = _coordinates(point)
+        step = self._steps.get(t)
+        if step is None:
+            self._steps[t] = ([obj], [x], [y])
+        else:
+            ids, xs, ys = step
+            if ids[-1] < obj:
+                ids.append(obj)
+                xs.append(x)
+                ys.append(y)
+            else:
+                i = bisect_left(ids, obj)
+                if ids[i] == obj:
+                    raise NonMonotoneTimestampError(f"object {obj}: duplicate sample at t={t}")
+                ids.insert(i, obj)
+                xs.insert(i, x)
+                ys.insert(i, y)
+        self._objects.add(obj)
 
     @property
     def objects(self) -> list[ObjectId]:
-        return list(self._order)
+        return sorted(self._objects)
 
     def __len__(self) -> int:
         return len(self._objects)
@@ -167,37 +198,37 @@ class TrajectoryDb:
         return obj in self._objects
 
     def positions(self, obj: ObjectId) -> dict[int, Point]:
-        try:
-            return dict(self._objects[obj])
-        except KeyError:
-            raise UnknownDeviceError(f"no trajectory for object {obj}") from None
+        """The object's samples in time order."""
+        if obj not in self._objects:
+            raise UnknownDeviceError(f"no trajectory for object {obj}")
+        out = {}
+        for t, ids, xs, ys in self._columns():
+            i = bisect_left(ids, obj)
+            if i < len(ids) and ids[i] == obj:
+                out[t] = Point(xs[i], ys[i])
+        return out
 
     def positions_at(self, t: int) -> list[tuple[ObjectId, Point]]:
         """Objects present at grid time t, sorted by object id."""
-        objects = self._objects
-        out = []
-        for obj in self._order:
-            p = objects[obj].get(t)
-            if p is not None:
-                out.append((obj, p))
-        return out
+        step = self._steps.get(t)
+        if step is None:
+            return []
+        return [(obj, Point(x, y)) for obj, x, y in zip(*step)]
 
     def timestamps(self) -> list[int]:
         """Grid timestamps with any sample, in increasing order."""
-        return sorted({t for samples in self._objects.values() for t in samples})
+        return sorted(self._steps)
 
     def time_range(self) -> tuple[int, int] | None:
         """(earliest, latest) grid timestamp with any sample, or None."""
-        lo = hi = None
-        for samples in self._objects.values():
-            for t in samples:
-                if lo is None:
-                    lo = hi = t
-                elif t < lo:
-                    lo = t
-                elif t > hi:
-                    hi = t
-        return None if lo is None else (lo, hi)
+        steps = self._steps
+        return (min(steps), max(steps)) if steps else None
+
+    def _columns(self):
+        """(t, ids, xs, ys) for each sampled timestamp, in time order."""
+        steps = self._steps
+        for t in sorted(steps):
+            yield (t, *steps[t])
 
 
 def density_clusters(
@@ -226,6 +257,14 @@ def density_clusters(
         ids.append(obj)
         xs.append(x)
         ys.append(y)
+    return _clusters(ids, xs, ys, e, m)
+
+
+def _clusters(
+    ids: list[ObjectId], xs: list[float], ys: list[float], e: float, m: int
+) -> list[frozenset[ObjectId]]:
+    """density_clusters over columns whose ids ascend with no repeat and
+    whose coordinates are finite; e > 0 and m >= 1."""
     n = len(ids)
 
     # near[i]: indices within e of index i, i itself included
@@ -271,8 +310,9 @@ def discover_convoys(db: TrajectoryDb, params: ConvoyParams) -> list[Convoy]:
     a gap with no data between two of them ends all runs, as a visited empty
     timestamp would.
     """
-    steps = ((t, density_clusters(db.positions_at(t), params.e, params.m)) for t in db.timestamps())
-    return _chain(steps, params.m, params.k)
+    e, m = params.e, params.m
+    steps = ((t, _clusters(ids, xs, ys, e, m)) for t, ids, xs, ys in db._columns())
+    return _chain(steps, m, params.k)
 
 
 def _chain(
@@ -355,5 +395,11 @@ def read_trajectories_jsonl(source: str | Path | IO[str]) -> TrajectoryDb:
 
 def write_trajectories_jsonl(db: TrajectoryDb, dest: str | Path | IO[str]) -> None:
     """Write objects sorted by id, samples in time order."""
-    samples = ((obj, t, p) for obj in db.objects for t, p in sorted(db.positions(obj).items()))
-    write_jsonl(dest, ({"object": obj, "t": t, "x": p.x, "y": p.y} for obj, t, p in samples))
+    tracks: dict[ObjectId, list[tuple[int, float, float]]] = {obj: [] for obj in db.objects}
+    for t, ids, xs, ys in db._columns():
+        for obj, x, y in zip(ids, xs, ys):
+            tracks[obj].append((t, x, y))
+    write_jsonl(
+        dest,
+        ({"object": obj, "t": t, "x": x, "y": y} for obj, samples in tracks.items() for t, x, y in samples),
+    )

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from convoylog import (
     Convoy,
     ConvoyParams,
+    ConvoylogError,
     LogFormatError,
     NonMonotoneTimestampError,
     Point,
@@ -18,6 +20,7 @@ from convoylog import (
     read_trajectories_jsonl,
     write_trajectories_jsonl,
 )
+from convoylog import trajectories
 from helpers import (
     UNDECODABLE_LINES,
     convoy_oracle,
@@ -82,6 +85,19 @@ class TestDb:
         assert len(db) == 0
         assert "a" not in db
 
+    @pytest.mark.parametrize("obj", [5, b"b", ("b",)], ids=["int", "bytes", "tuple"])
+    def test_non_str_object_id_rejected_without_trace(self, obj):
+        db = TrajectoryDb()
+        db.add("a", 0, Point(0, 0))
+        for t in (0, 1):
+            with pytest.raises(ValueError, match="object id must be a str"):
+                db.add(obj, t, Point(0, 0))
+        assert db.objects == ["a"]
+        assert len(db) == 1
+        assert obj not in db
+        assert db.positions_at(0) == [("a", Point(0, 0))]
+        assert db.timestamps() == [0]
+
     def test_positions_unknown_object(self):
         with pytest.raises(UnknownDeviceError):
             TrajectoryDb().positions("ghost")
@@ -96,6 +112,78 @@ class TestDb:
         assert TrajectoryDb().time_range() is None
         db = db_from([("a", 3, 0, 0), ("b", 7, 0, 0)])
         assert db.time_range() == (3, 7)
+
+
+# Ids and timestamps are drawn from small pools so that sequences revisit
+# them: duplicates, out-of-order timestamps and ids sorting anywhere.
+MODEL_IDS = ("b", "a", "d", "c", "", 5, b"a", None)
+MODEL_TIMES = (st.integers(-3, 3), st.sampled_from([0.5, True, None]))
+MODEL_COORDS = (st.floats(-10, 10), st.integers(-10, 10), st.sampled_from([float("nan"), float("inf"), 10**400]))
+
+
+def model_add(model: dict, obj, t, x, y) -> bool:
+    """Whether TrajectoryDb.add must accept the sample; records it if so."""
+    if isinstance(t, bool) or not isinstance(t, int) or not isinstance(obj, str) or not obj:
+        return False
+    try:
+        x, y = float(x), float(y)
+    except OverflowError:
+        return False
+    if not (math.isfinite(x) and math.isfinite(y)) or t in model.get(obj, {}):
+        return False
+    model.setdefault(obj, {})[t] = Point(x, y)
+    return True
+
+
+class TestDbModel:
+    """TrajectoryDb against a dict of per-object dicts."""
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(MODEL_IDS),
+                st.one_of(*MODEL_TIMES),
+                st.one_of(*MODEL_COORDS),
+                st.one_of(*MODEL_COORDS),
+            ),
+            max_size=40,
+        )
+    )
+    def test_matches_dict_model(self, ops):
+        db = TrajectoryDb()
+        model: dict[str, dict[int, Point]] = {}
+        for obj, t, x, y in ops:
+            if model_add(model, obj, t, x, y):
+                db.add(obj, t, Point(x, y))
+            else:
+                with pytest.raises((ValueError, ConvoylogError)):
+                    db.add(obj, t, Point(x, y))
+
+        assert db.objects == sorted(model)
+        assert len(db) == len(model)
+        for obj in MODEL_IDS:
+            assert (obj in db) == (obj in model)
+            if obj in model:
+                got = db.positions(obj)
+                assert list(got) == sorted(model[obj])
+                assert got == model[obj]
+            else:
+                with pytest.raises(UnknownDeviceError):
+                    db.positions(obj)
+        times = sorted({t for samples in model.values() for t in samples})
+        for t in range(-4, 5):
+            want = [(obj, model[obj][t]) for obj in sorted(model) if t in model[obj]]
+            assert db.positions_at(t) == want
+        assert db.timestamps() == times
+        assert db.time_range() == ((times[0], times[-1]) if times else None)
+
+        first = io.StringIO()
+        write_trajectories_jsonl(db, first)
+        again = io.StringIO()
+        write_trajectories_jsonl(read_trajectories_jsonl(io.StringIO(first.getvalue())), again)
+        assert first.getvalue() == again.getvalue()
+        assert first.getvalue().count("\n") == sum(map(len, model.values()))
 
 
 class TestNeighborhood:
@@ -277,22 +365,46 @@ class TestDiscoverConvoys:
         got = discover_convoys(db_from(rows), ConvoyParams(e=5, m=2, k=3))
         assert got == []
 
-    def test_wide_gap_visits_only_sampled_timestamps(self):
+    def test_wide_gap_visits_only_sampled_timestamps(self, monkeypatch):
         far = 10**15
-        db = db_from([(obj, t, 0.0, 0.0) for obj in "ab" for t in (0, 1, 2, far, far + 1)])
-        assert db.timestamps() == [0, 1, 2, far, far + 1]
-        visit = db.positions_at
+        sampled = (0, 1, 2, far, far + 1)
+        db = db_from([(obj, t, 0.0, 0.0) for obj in "ab" for t in sampled])
+        assert db.timestamps() == list(sampled)
 
-        def positions_at(t):
-            assert t in (0, 1, 2, far, far + 1), f"visited empty timestamp {t}"
-            return visit(t)
+        class SampledOnly(dict):
+            """The store's per-timestamp columns, failing on any other key."""
 
-        db.positions_at = positions_at
+            def _check(self, t):
+                assert t in sampled, f"visited empty timestamp {t}"
+
+            def __getitem__(self, t):
+                self._check(t)
+                return dict.__getitem__(self, t)
+
+            def get(self, t, default=None):
+                self._check(t)
+                return dict.get(self, t, default)
+
+            def __contains__(self, t):
+                self._check(t)
+                return dict.__contains__(self, t)
+
+        db._steps = SampledOnly(db._steps)
+        clustered = []
+        cluster = trajectories._clusters
+
+        def counted(ids, xs, ys, e, m):
+            clustered.append(list(ids))
+            assert len(clustered) <= len(sampled), "clustered more steps than were sampled"
+            return cluster(ids, xs, ys, e, m)
+
+        monkeypatch.setattr(trajectories, "_clusters", counted)
         got = discover_convoys(db, ConvoyParams(e=5, m=2, k=2))
         assert got == [
             Convoy(frozenset({"a", "b"}), 0, 2),
             Convoy(frozenset({"a", "b"}), far, far + 1),
         ]
+        assert clustered == [["a", "b"]] * len(sampled)
 
     def test_regrouping_yields_two_convoys(self):
         got = discover_convoys(

@@ -10,7 +10,8 @@ Subcommands wire the library together around on-disk JSONL artifacts:
     compare         run both pipelines on a scenario and score them
 
 Outputs are line-oriented key:value text or JSONL on stdout; diagnostics go
-to stderr; exit status is 0 only on success. Where a scenario path is
+to stderr; exit status is 0 only on success, and a reader that closes stdout
+early (`| head`) ends the run as one. Where a scenario path is
 expected, the forms `builtin:fig4` and `builtin:corridor` name the built-in
 scenarios. Re-running any command on identical inputs (including the seed)
 produces byte-identical output.
@@ -19,6 +20,7 @@ produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -391,7 +393,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # Flushed here, so that a reader gone before the last write is met
+        # below and not at interpreter exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed standard output early (`| head`): a normal end.
+        # Standard output then points at devnull, so the interpreter's own
+        # flush at exit finds nothing to fail on (the Python documentation's
+        # recipe for SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ConvoylogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

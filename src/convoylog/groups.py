@@ -2,19 +2,30 @@
 
 Starting from one device's current snapshot, the scan asks: which other
 devices have been seeing approximately the same radio environment for the
-recent past? It walks the querying device's own track backwards and keeps a
-shrinking map from each candidate companion to its track; a candidate's
-track is looked up once, when it is seeded.
+recent past? It walks the querying device's own track backwards and drops
+the candidate companions that stop matching.
 
     1. Seed candidates with every other device's latest sample in the
        window [t0 - delta, t0]; drop those not comparable with the query
        snapshot. An empty set here ends the scan.
     2. Walk back: while t > t0 - t_max, move (t, env) to the querying
        device's previous sample. For each surviving candidate, take its
-       sample nearest to the new t within delta; candidates with no such
-       sample, or with one that is not comparable with env, are dropped.
-       The walk stops early when the candidate set empties, and also
-       processes the sample sitting exactly on the t0 - t_max boundary.
+       sample nearest to the new t within delta, ties going to the earlier
+       sample; candidates with no such sample, or with one that is not
+       comparable with env, are dropped. The walk stops early when the
+       candidate set empties, and also processes the sample sitting exactly
+       on the t0 - t_max boundary.
+
+The walk is one pass over the log's columns (ProximityTrack keeps each
+device's sample times apart from its samples). Each step turns its own
+snapshot into a level map (bssid -> rssi) once and probes it with every
+candidate's sample (comparability._matches), so a test costs one dict
+lookup per access point of the candidate's sample. The seed step bisects
+each device's time column for its latest sample at or before t0; a walk
+step steps through the user's time column by index. A candidate's nearest
+sample is found by a bisect bounded by where its previous bisect landed:
+the steps only move back in time, so the insertion point never moves
+forward.
 
 Candidates must match at every processed step, so the result only contains
 devices whose visibility history tracked the querying device's history over
@@ -37,15 +48,17 @@ simply has no previous samples, so the walk ends at the seed step.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .comparability import comparable
+# groups.comparable stays bound because perfbench/tracing.py wraps it by that
+# name; the walk tests snapshots through _matches.
+from .comparability import _matches, comparable
 from .errors import EmptyEnvironmentError
 from .proximity import (
     DeviceId,
     EnvironmentSnapshot,
     ProximityLog,
-    ProximityTrack,
     canonical_id,
     finite_time,
 )
@@ -112,19 +125,24 @@ class GroupResult:
 class _Walk:
     """What one backward walk saw, enough to answer any lookback up to its own.
 
-    survivors: candidates that matched at every processed step.
+    survivors: candidates that matched at every processed step, in id order.
     dropped: each other seeded candidate, with the time of the step at which
         it dropped.
     steps: times of the processed own samples after the seed step, newest
         first.
+    seeded: devices other than the user with a sample in the seed window.
+    compared: snapshot tests made, one per seeded device and one per
+        candidate at each step at which it had a sample within delta.
     """
 
-    __slots__ = ("survivors", "dropped", "steps")
+    __slots__ = ("survivors", "dropped", "steps", "seeded", "compared")
 
     def __init__(self) -> None:
-        self.survivors: dict[DeviceId, ProximityTrack] = {}
+        self.survivors: list[DeviceId] = []
         self.dropped: dict[DeviceId, float] = {}
         self.steps: list[float] = []
+        self.seeded = 0
+        self.compared = 0
 
     def members(self, horizon: float, min_steps: int) -> frozenset[DeviceId]:
         """The members of a scan from the same t0 back to horizon, which must
@@ -155,30 +173,75 @@ def _walk(
     """Seed candidates around (t0, e0), then walk the user's own samples back
     to horizon, dropping candidates as the module docstring describes.
 
-    user must be canonical and e0 non-empty.
+    user must be canonical, e0 non-empty, delta non-negative and omega
+    positive.
     """
     walk = _Walk()
-    cands, dropped, steps = walk.survivors, walk.dropped, walk.steps
-    for device, fp in log.measurements_in_window(t0 - delta, t0, exclude=user):
-        if comparable(fp.env, e0, omega):
-            cands[device] = log.track(device)
+    dropped, steps = walk.dropped, walk.steps
+    seeded = 0
+    tracks = log._tracks
+    # One entry per candidate: [device, times, samples, hi], where hi bounds
+    # the bisect for the candidate's nearest sample at the next step.
+    cands: list[list] = []
+    levels = {o.bssid: o.rssi for o in e0.observations}
+    lo = t0 - delta
+    for device in log._order:
+        if device == user:
+            continue
+        track = tracks[device]
+        times = track._times
+        hi = bisect_right(times, t0)
+        if hi and times[hi - 1] >= lo:
+            seeded += 1
+            if _matches(track._samples[hi - 1].env, levels, omega):
+                cands.append([device, times, track._samples, hi])
+    compared = seeded
 
-    if cands and user in log:
-        user_track = log.track(user)
+    own = tracks.get(user) if cands else None
+    if own is not None:
+        own_times, own_samples = own._times, own._samples
+        k = bisect_left(own_times, t0)
         t = t0
-        while t > horizon:
-            prev = user_track.previous_before(t)
-            if prev is None or prev.t < horizon:
+        while k and t > horizon:
+            k -= 1
+            t = own_times[k]
+            if t < horizon:
                 break
-            t, env = prev.t, prev.env
             steps.append(t)
-            for device, track in list(cands.items()):
-                fp = track.nearest_in_window(t, delta)
-                if fp is None or not comparable(fp.env, env, omega):
-                    del cands[device]
-                    dropped[device] = t
+            levels = {o.bssid: o.rssi for o in own_samples[k].env.observations}
+            compared += len(cands)
+            kept = []
+            for cand in cands:
+                _, times, samples, hi = cand
+                # The nearest sample to t, as ProximityTrack.nearest_in_window
+                # finds it. t is below every earlier step's time, so its
+                # insertion point lies at or before hi.
+                i = bisect_left(times, t, 0, hi)
+                cand[3] = i
+                # Samples before i lie before t and the rest do not, so each
+                # difference below, taken in that order, is exactly
+                # abs(times[j] - t).
+                if i == len(times) or (i and t - times[i - 1] < times[i] - t):
+                    i -= 1
+                    d = t - times[i]
+                else:
+                    d = times[i] - t
+                if d > delta:
+                    compared -= 1
+                    dropped[cand[0]] = t
+                    continue
+                # Ties go to the earlier sample; rounding can tie more than one.
+                while i and t - times[i - 1] == d:
+                    i -= 1
+                if _matches(samples[i].env, levels, omega):
+                    kept.append(cand)
+                else:
+                    dropped[cand[0]] = t
+            cands = kept
             if not cands:
                 break
+    walk.survivors = [cand[0] for cand in cands]
+    walk.seeded, walk.compared = seeded, compared
     return walk
 
 

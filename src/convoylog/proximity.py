@@ -172,7 +172,12 @@ class Fingerprint:
 
 
 class ProximityTrack:
-    """One device's fingerprints in strictly increasing time order."""
+    """One device's fingerprints in strictly increasing time order.
+
+    _times holds the sample times, parallel to _samples. The group walk
+    (groups._walk) reads both lists directly, and ProximityLog's _order and
+    _tracks too, so a change to this layout must change the walk with it.
+    """
 
     __slots__ = ("device", "_samples", "_times")
 

@@ -33,6 +33,7 @@ from convoylog import (
     canonical_id,
     comparable,
     density_clusters,
+    groups,
 )
 from convoylog.trajectories import Point, TrajectoryDb
 
@@ -344,6 +345,55 @@ def witness_violations(
             ):
                 out.append((device, t))
     return out
+
+
+def reference_walk(
+    log: ProximityLog,
+    user: str,
+    t0: float,
+    e0: EnvironmentSnapshot,
+    delta: float,
+    omega: float,
+    horizon: float,
+) -> groups._Walk:
+    """groups._walk as written before its seed scan and steps read the track
+    columns: seeds from measurements_in_window, one nearest_in_window and one
+    comparable call per candidate at each step through previous_before.
+
+    Takes and returns what groups._walk does, so it can stand in for it;
+    seeded counts the window's devices and compared counts the comparable
+    calls made.
+    """
+    walk = groups._Walk()
+
+    def counted(a: EnvironmentSnapshot, b: EnvironmentSnapshot) -> bool:
+        walk.compared += 1
+        return comparable(a, b, omega)
+
+    cands = {}
+    window = log.measurements_in_window(t0 - delta, t0, exclude=user)
+    walk.seeded = len(window)
+    for device, fp in window:
+        if counted(fp.env, e0):
+            cands[device] = log.track(device)
+    if cands and user in log:
+        user_track = log.track(user)
+        t = t0
+        while t > horizon:
+            prev = user_track.previous_before(t)
+            if prev is None or prev.t < horizon:
+                break
+            t, env = prev.t, prev.env
+            walk.steps.append(t)
+            for device, track in list(cands.items()):
+                fp = track.nearest_in_window(t, delta)
+                if fp is None or not counted(fp.env, env):
+                    del cands[device]
+                    walk.dropped[device] = t
+            if not cands:
+                break
+    walk.survivors = list(cands)
+    return walk
 
 
 def rebuild_without(log: ProximityLog, device: str, index: int) -> ProximityLog:

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import subprocess
@@ -413,6 +415,31 @@ class TestCompare:
         first = run(capsys, "compare", "builtin:fig4", "--n", "4", "--k", "11")
         second = run(capsys, "compare", "builtin:fig4", "--n", "4", "--k", "11")
         assert first == second
+
+
+class _ClosedPipe(io.TextIOBase):
+    """Standard output whose reader is gone: every write fails with EPIPE."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_is_a_normal_end(tmp_path, capsys, monkeypatch):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert main(["compare", "builtin:fig4", "--n", "4", "--k", "11"]) == 0
+        # The descriptor behind stdout now writes to devnull.
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
 
 
 class TestParser:

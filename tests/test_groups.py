@@ -1,20 +1,31 @@
 import random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convoylog import (
     EmptyEnvironmentError,
+    EngineConfig,
     EnvironmentSnapshot,
+    EvalContext,
     GroupQueryParams,
     ProximityLog,
     discover_group,
+    eval_rules,
+    groups,
     in_group_of,
+    parse_rules,
 )
 from helpers import (
+    AP_POOL,
+    DEVICE_POOL,
     oracle_members,
     put,
     random_case,
     rebuild_without,
+    reference_walk,
     snapshot,
     witness_violations,
 )
@@ -213,3 +224,108 @@ class TestAgainstOracle:
             after = discover_group(rebuild_without(log, victim, index), user, t0, e0, params)
             assert after.members <= before.members
             assert before.members - after.members <= {victim}
+
+
+# Times, tolerances and lookbacks on a 0.5 s grid are exact binary fractions,
+# so samples tie exactly for nearest, sit exactly at t - delta and t + delta,
+# and user samples sit exactly on the horizon. A user drawn with no samples
+# is absent from the log.
+GRID = 0.5
+_grid_times = st.lists(st.integers(0, 12), unique=True, max_size=8).map(
+    lambda ks: sorted(k * GRID for k in ks)
+)
+# Two access points and three levels 3, 5 and 8 dB apart, so that the choice
+# between two samples often decides a comparison.
+_levels = st.tuples(*[st.sampled_from([None, -50, -53, -58])] * 2).map(
+    lambda levels: {ap: level for ap, level in zip(AP_POOL, levels) if level is not None}
+)
+_WALK_RULES = parse_rules(
+    "RULE a: IF IN_GROUP_OF(2, 1) THEN 'a'\n"
+    "RULE b: IF IN_GROUP_OF(3, 2) AND NOT IN_GROUP_OF(4, 4) THEN 'b'\n"
+    "RULE c: IF IN_GROUP_OF(2, 6) THEN 'c'"
+)
+
+
+@st.composite
+def walk_cases(draw):
+    """(log, user, t0, e0, delta, omega, t_max, min_steps) on the grid."""
+    log = ProximityLog()
+    devices = DEVICE_POOL[: draw(st.integers(2, 5))]
+    for device in devices:
+        for t in draw(_grid_times):
+            put(log, device, t, draw(_levels))
+    return (
+        log,
+        devices[0],
+        draw(st.integers(0, 12)) * GRID,
+        snapshot(draw(_levels.filter(bool))),
+        draw(st.sampled_from([0.0, 0.5, 1.0, 1.5])),
+        draw(st.sampled_from([1.0, 4.0, 6.0, 9.0])),
+        draw(st.integers(1, 12)) * GRID,
+        draw(st.integers(1, 3)),
+    )
+
+
+def grid_case(samples: dict[str, list[tuple[float, dict[str, int]]]], t0, delta, omega, t_max):
+    """A walk_cases tuple for A querying at t0 with {X: -50}, min_steps 1."""
+    log = ProximityLog()
+    for device, track in samples.items():
+        for t, levels in track:
+            put(log, device, t, levels)
+    return log, A, t0, snapshot({X: -50}), delta, omega, t_max, 1
+
+
+# B's samples at 3 and 7 tie for the step at 5; only the earlier one matches.
+TIE_CASE = grid_case(
+    {A: [(5, {X: -50}), (10, {X: -50})], B: [(3, {X: -50}), (7, {X: -58}), (10, {X: -50})]},
+    10.0, 2.0, 4.0, 5.0,
+)
+# A's sample at 5 lies exactly on the horizon.
+HORIZON_CASE = grid_case(
+    {A: [(5, {X: -50}), (10, {X: -50})], B: [(5, {X: -50}), (10, {X: -50})]}, 10.0, 0.0, 4.0, 5.0
+)
+
+
+class TestAgainstReferenceWalk:
+    """The walk makes the reference walk's decisions with windows that
+    overlap, where oracle_members is not exact."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=walk_cases())
+    @example(case=TIE_CASE)
+    @example(case=HORIZON_CASE)
+    def test_walk_matches_reference(self, case):
+        log, user, t0, e0, delta, omega, t_max, _ = case
+        args = (log, user, t0, e0, delta, omega, t0 - t_max)
+        got, want = groups._walk(*args), reference_walk(*args)
+        assert got.survivors == want.survivors
+        assert got.dropped == want.dropped
+        assert got.steps == want.steps
+        assert (got.seeded, got.compared) == (want.seeded, want.compared)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=walk_cases())
+    @example(case=TIE_CASE)
+    @example(case=HORIZON_CASE)
+    def test_answers_match_reference(self, case):
+        log, user, t0, e0, delta, omega, t_max, min_steps = case
+        params = GroupQueryParams(delta=delta, omega=omega, t_max=t_max, n=2, min_steps=min_steps)
+        ctx = EvalContext(
+            device=user, now=t0, current=e0, log=log,
+            config=EngineConfig(delta=delta, omega=omega, min_steps=min_steps),
+        )
+        got = discover_group(log, user, t0, e0, params), eval_rules(_WALK_RULES, ctx)
+        with patch.object(groups, "_walk", reference_walk):
+            want = discover_group(log, user, t0, e0, params), eval_rules(_WALK_RULES, ctx)
+        assert got == want
+
+    def test_counts_on_a_known_walk(self):
+        # Seeds B and C (D's sample lies outside the seed window); C drops at
+        # t=90. At t=80, B is the only candidate left.
+        log = example_log()
+        put(log, D, 50, {X: -50})
+        walk = groups._walk(log, A, 100.0, snapshot({X: -50}), 2.0, 10.0, 80.0)
+        assert walk.survivors == [B]
+        assert walk.dropped == {C: 90.0}
+        assert walk.steps == [90.0, 80.0]
+        assert (walk.seeded, walk.compared) == (2, 5)

@@ -1,4 +1,4 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the count check parameters share.
 
 Every domain error derives from ConvoylogError so callers (notably the CLI)
 can catch one base class and turn any rule, log, or scenario problem into a
@@ -60,3 +60,11 @@ class RuleSyntaxError(ConvoylogError):
 
 class DuplicateRuleIdError(ConvoylogError):
     """Two rules in one ruleset share an identifier."""
+
+
+def check_count(value: int, name: str) -> None:
+    """ValueError unless value is an int, not a bool, and at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")

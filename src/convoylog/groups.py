@@ -54,7 +54,7 @@ from dataclasses import dataclass
 # groups.comparable stays bound because perfbench/tracing.py wraps it by that
 # name; the walk tests snapshots through _matches.
 from .comparability import _matches, comparable
-from .errors import EmptyEnvironmentError
+from .errors import EmptyEnvironmentError, check_count
 from .proximity import (
     DeviceId,
     EnvironmentSnapshot,
@@ -73,8 +73,7 @@ def check_thresholds(delta: float, omega: float, min_steps: int) -> None:
         raise ValueError(f"delta must be non-negative, got {delta}")
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    if min_steps < 1:
-        raise ValueError(f"min_steps must be at least 1, got {min_steps}")
+    check_count(min_steps, "min_steps")
 
 
 @dataclass(frozen=True)
@@ -101,8 +100,7 @@ class GroupQueryParams:
         check_thresholds(self.delta, self.omega, self.min_steps)
         if not self.t_max > 0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
+        check_count(self.n, "n")
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,8 @@ class GroupResult:
 class _Walk:
     """What one backward walk saw, enough to answer any lookback up to its own.
 
-    survivors: candidates that matched at every processed step, in id order.
+    survivors: candidates that matched at every processed step, sorted by
+        id (the walk meets devices in the log's insertion order).
     dropped: each other seeded candidate, with the time of the step at which
         it dropped.
     steps: times of the processed own samples after the seed step, newest
@@ -180,25 +179,25 @@ def _walk(
     dropped, steps = walk.dropped, walk.steps
     seeded = 0
     tracks = log._tracks
+    own = tracks.get(user)
     # One entry per candidate: [device, times, samples, hi], where hi bounds
     # the bisect for the candidate's nearest sample at the next step.
     cands: list[list] = []
     levels = {o.bssid: o.rssi for o in e0.observations}
     lo = t0 - delta
-    for device in log._order:
-        if device == user:
+    # A list, not the dict itself: ingest may add a track while this runs.
+    for track in list(tracks.values()):
+        if track is own:
             continue
-        track = tracks[device]
         times = track._times
         hi = bisect_right(times, t0)
         if hi and times[hi - 1] >= lo:
             seeded += 1
             if _matches(track._samples[hi - 1].env, levels, omega):
-                cands.append([device, times, track._samples, hi])
+                cands.append([track.device, times, track._samples, hi])
     compared = seeded
 
-    own = tracks.get(user) if cands else None
-    if own is not None:
+    if cands and own is not None:
         own_times, own_samples = own._times, own._samples
         k = bisect_left(own_times, t0)
         t = t0
@@ -240,7 +239,7 @@ def _walk(
             cands = kept
             if not cands:
                 break
-    walk.survivors = [cand[0] for cand in cands]
+    walk.survivors = sorted(cand[0] for cand in cands)
     walk.seeded, walk.compared = seeded, compared
     return walk
 

@@ -40,15 +40,18 @@ ApObservation, and so does one simulation. The table that finds them lives
 only for that one call; a record decoded alone (fingerprint_from_json)
 shares nothing, and nothing is kept between calls.
 
-Reads are pure and never mutate the store; a log may serve many concurrent
-readers as long as at most one writer calls ingest at a time.
+The log keeps one dict of tracks keyed by device id and sorts the ids only
+when a read asks for them in order. Reads are pure and never mutate the
+store. A log may serve many concurrent readers beside at most one writer
+calling ingest: each read takes the track table in one call (sorted, or a
+list of its values), so a device added meanwhile is not part of that read.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -174,9 +177,10 @@ class Fingerprint:
 class ProximityTrack:
     """One device's fingerprints in strictly increasing time order.
 
-    _times holds the sample times, parallel to _samples. The group walk
-    (groups._walk) reads both lists directly, and ProximityLog's _order and
-    _tracks too, so a change to this layout must change the walk with it.
+    _times holds the sample times, parallel to _samples. Besides this
+    module, only the group walk (groups._walk) reads both lists and
+    ProximityLog's _tracks directly, so a change to this layout must change
+    the walk with it.
     """
 
     __slots__ = ("device", "_samples", "_times")
@@ -228,11 +232,6 @@ class ProximityTrack:
             i -= 1
         return self._samples[i] if d <= delta else None
 
-    def previous_before(self, t: float) -> Fingerprint | None:
-        """The latest sample strictly earlier than t, or None."""
-        i = bisect_left(self._times, t)
-        return self._samples[i - 1] if i > 0 else None
-
 
 class ProximityLog:
     """Store of per-device proximity tracks with window queries.
@@ -242,7 +241,6 @@ class ProximityLog:
 
     def __init__(self):
         self._tracks: dict[DeviceId, ProximityTrack] = {}
-        self._order: list[DeviceId] = []  # sorted, for deterministic iteration
 
     def ingest(self, device: DeviceId, fp: Fingerprint) -> None:
         """Append one fingerprint to the device's track, creating it if new."""
@@ -254,21 +252,12 @@ class ProximityLog:
             track = self._tracks.get(key)
             if track is None:
                 track = self._tracks[key] = ProximityTrack(key)
-                # An id sorting last is appended in place: a reader iterating
-                # the list meets it once, at the end. Any other id goes into a
-                # new list, so a reader of the old one never sees entries shift.
-                if not self._order or self._order[-1] < key:
-                    self._order.append(key)
-                else:
-                    order = self._order.copy()
-                    insort(order, key)
-                    self._order = order
         track.append(fp)
 
     @property
     def devices(self) -> list[DeviceId]:
         """Device ids in sorted order."""
-        return list(self._order)
+        return sorted(self._tracks)
 
     def __contains__(self, device: DeviceId) -> bool:
         return canonical_id(device) in self._tracks
@@ -296,10 +285,9 @@ class ProximityLog:
             raise ValueError(f"empty window: [{t_lo}, {t_hi}]")
         skip = canonical_id(exclude) if exclude is not None else None
         out: list[tuple[DeviceId, Fingerprint]] = []
-        for device in self._order:
+        for device, track in sorted(self._tracks.items()):
             if device == skip:
                 continue
-            track = self._tracks[device]
             i = bisect_right(track._times, t_hi) - 1
             if i >= 0 and track._times[i] >= t_lo:
                 out.append((device, track._samples[i]))

@@ -52,7 +52,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from . import groups
-from .errors import DuplicateRuleIdError, RuleSyntaxError
+from .errors import DuplicateRuleIdError, RuleSyntaxError, check_count
 # rules.in_group_of stays bound because perfbench/tracing.py wraps it by that
 # name. Evaluation calls groups._walk through the module instead, to share one
 # walk between all its lookbacks.
@@ -127,8 +127,7 @@ class InGroupOf(Predicate):
     t: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
+        check_count(self.n, "n")
         if not self.t > 0:
             raise ValueError(f"t must be positive, got {self.t}")
 

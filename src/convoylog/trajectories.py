@@ -87,7 +87,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
-from .errors import NonMonotoneTimestampError, UnknownDeviceError
+from .errors import NonMonotoneTimestampError, UnknownDeviceError, check_count
 from .jsonio import read_jsonl, require, write_jsonl
 
 ObjectId = str
@@ -129,10 +129,8 @@ class ConvoyParams:
     def __post_init__(self):
         if not self.e > 0:
             raise ValueError(f"e must be positive, got {self.e}")
-        if self.m < 1:
-            raise ValueError(f"m must be at least 1, got {self.m}")
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
+        check_count(self.m, "m")
+        check_count(self.k, "k")
 
 
 @dataclass(frozen=True)

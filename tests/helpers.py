@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
@@ -30,6 +31,7 @@ from convoylog import (
     LogFormatError,
     MobilityScenario,
     ProximityLog,
+    ProximityTrack,
     canonical_id,
     comparable,
     density_clusters,
@@ -313,6 +315,12 @@ def oracle_members(
     return frozenset(members)
 
 
+def previous_before(track: ProximityTrack, t: float) -> Fingerprint | None:
+    """The track's latest sample strictly earlier than t, or None."""
+    i = bisect_left(track.samples, t, key=lambda fp: fp.t)
+    return track.samples[i - 1] if i > 0 else None
+
+
 def witness_violations(
     log: ProximityLog,
     user: str,
@@ -329,7 +337,7 @@ def witness_violations(
         track = log.track(user)
         t = t0
         while t > t0 - params.t_max:
-            prev = track.previous_before(t)
+            prev = previous_before(track, t)
             if prev is None or prev.t < t0 - params.t_max:
                 break
             t = prev.t
@@ -380,7 +388,7 @@ def reference_walk(
         user_track = log.track(user)
         t = t0
         while t > horizon:
-            prev = user_track.previous_before(t)
+            prev = previous_before(user_track, t)
             if prev is None or prev.t < horizon:
                 break
             t, env = prev.t, prev.env

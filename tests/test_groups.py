@@ -1,4 +1,7 @@
+import io
 import random
+import sys
+import threading
 from unittest.mock import patch
 
 import pytest
@@ -17,6 +20,7 @@ from convoylog import (
     groups,
     in_group_of,
     parse_rules,
+    write_log_jsonl,
 )
 from helpers import (
     AP_POOL,
@@ -174,7 +178,18 @@ class TestDiscoverGroup:
         with pytest.raises(ValueError):
             GroupQueryParams(delta=1, omega=10, t_max=20, n=2, min_steps=0)
         nan = float("nan")
-        for bad in (dict(delta=nan), dict(omega=nan), dict(t_max=nan)):
+        # n and min_steps are counts: a float, even a NaN, or a bool is refused
+        for bad in (
+            dict(delta=nan),
+            dict(omega=nan),
+            dict(t_max=nan),
+            dict(n=nan),
+            dict(n=2.0),
+            dict(n=True),
+            dict(min_steps=1.5),
+            dict(min_steps=nan),
+            dict(min_steps=True),
+        ):
             with pytest.raises(ValueError):
                 GroupQueryParams(**{"delta": 1, "omega": 10, "t_max": 20, "n": 2, **bad})
         for t0 in (nan, float("inf"), float("-inf"), 10**400):
@@ -329,3 +344,88 @@ class TestAgainstReferenceWalk:
         assert walk.dropped == {C: 90.0}
         assert walk.steps == [90.0, 80.0]
         assert (walk.seeded, walk.compared) == (2, 5)
+
+
+def reingested(log: ProximityLog, order: list[str]) -> ProximityLog:
+    """A copy of log whose devices are first seen in the given order."""
+    out = ProximityLog()
+    for device in order:
+        for fp in log.track(device):
+            out.ingest(device, fp)
+    return out
+
+
+class TestIngestOrder:
+    """The log keeps its tracks in the order devices were first seen, and the
+    walk meets them in that order; no read may show it."""
+
+    @staticmethod
+    def answers(log, user, t0, e0, delta, omega, t_max, min_steps):
+        text = io.StringIO()
+        write_log_jsonl(log, text)
+        walk = groups._walk(log, user, t0, e0, delta, omega, t0 - t_max)
+        ctx = EvalContext(
+            device=user, now=t0, current=e0, log=log,
+            config=EngineConfig(delta=delta, omega=omega, min_steps=min_steps),
+        )
+        return (
+            log.devices,
+            text.getvalue().encode(),
+            log.measurements_in_window(t0 - delta, t0),
+            log.measurements_in_window(t0 - t_max, t0, exclude=user),
+            walk.survivors,
+            walk.dropped,
+            walk.steps,
+            walk.seeded,
+            walk.compared,
+            eval_rules(_WALK_RULES, ctx),
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=walk_cases(), data=st.data())
+    def test_answers_do_not_depend_on_which_device_came_first(self, case, data):
+        log, *query = case
+        shuffled = reingested(log, data.draw(st.permutations(log.devices)))
+        assert self.answers(shuffled, *query) == self.answers(log, *query)
+
+
+def test_reads_run_beside_one_writer():
+    # A read takes the track table in one call, so ingesting new devices while
+    # walks and window reads run neither raises nor shows a device twice.
+    log = example_log()
+    new = [f"02:00:01:00:{i >> 8:02x}:{i & 255:02x}" for i in range(3000)]
+    random.Random(5).shuffle(new)
+    errors = []
+    written = threading.Event()
+
+    def write():
+        try:
+            for i, device in enumerate(new):
+                put(log, device, 95.0 + (i % 10), {X: -50 - i % 7})
+        finally:
+            written.set()
+
+    def read():
+        try:
+            while not written.is_set():
+                groups._walk(log, A, 100.0, snapshot({X: -50}), 2.0, 10.0, 80.0)
+                devices = log.devices
+                window = [device for device, _ in log.measurements_in_window(90.0, 100.0)]
+                assert devices == sorted(set(devices))
+                assert window == sorted(set(window))
+        except Exception as exc:  # handed to the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write)] + [threading.Thread(target=read) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(log) == 3 + len(new)

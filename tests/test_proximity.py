@@ -28,6 +28,7 @@ from helpers import (
     UNDECODABLE_LINES,
     jsonl_ending_with,
     jsonl_text,
+    previous_before,
     put,
     reference_fingerprint,
     reference_read_log,
@@ -197,9 +198,9 @@ class TestTrack:
         track = ProximityTrack("02:00:00:00:00:01")
         track.append(Fingerprint(5.0, snapshot({"0a:00:00:00:00:01": -50})))
         track.append(Fingerprint(9.0, snapshot({"0a:00:00:00:00:01": -55})))
-        assert track.previous_before(9.0).t == 5.0
-        assert track.previous_before(5.0) is None
-        assert track.previous_before(100.0).t == 9.0
+        assert previous_before(track, 9.0).t == 5.0
+        assert previous_before(track, 5.0) is None
+        assert previous_before(track, 100.0).t == 9.0
 
     @given(
         times=st.lists(
@@ -231,29 +232,22 @@ class TestLog:
         assert "02:00:00:00:00:01" in log
         assert "02:00:00:00:00:09" not in log
 
-    def test_new_device_leaves_the_old_order_alone(self):
-        # A device whose id sorts before the last one would shift the entries
-        # of a list a reader is iterating, so ingest binds a new list for it.
-        log = ProximityLog()
-        put(log, "02:00:00:00:00:02", 1.0, {"0a:00:00:00:00:01": -50})
-        before = log._order
-        put(log, "02:00:00:00:00:01", 2.0, {"0a:00:00:00:00:01": -50})
-        assert before == ["02:00:00:00:00:02"]
-        assert log._order == ["02:00:00:00:00:01", "02:00:00:00:00:02"]
-
-    def test_reader_sees_each_device_once_across_a_new_device(self):
-        # A device sorting last is appended to the list a reader iterates;
-        # one sorting first goes into a new list the reader never sees.
+    def test_readers_see_each_device_once_while_ingest_adds_devices(self):
+        # A read takes the devices present at its call; ingesting a device
+        # that sorts first or last meanwhile neither shifts nor repeats any.
         log = ProximityLog()
         for device in ("02:00:00:00:00:02", "02:00:00:00:00:03"):
             put(log, device, 1.0, {"0a:00:00:00:00:01": -50})
-        reader = iter(log._order)
-        seen = [next(reader)]
+        devices = iter(log.devices)
+        window = (device for device, _ in log.measurements_in_window(0.0, 5.0))
+        seen_devices, seen_window = [next(devices)], [next(window)]
         put(log, "02:00:00:00:00:04", 2.0, {"0a:00:00:00:00:01": -50})
-        seen.append(next(reader))
+        seen_devices.append(next(devices))
+        seen_window.append(next(window))
         put(log, "02:00:00:00:00:01", 3.0, {"0a:00:00:00:00:01": -50})
-        seen += list(reader)
-        assert seen == ["02:00:00:00:00:02", "02:00:00:00:00:03", "02:00:00:00:00:04"]
+        seen_devices += devices
+        seen_window += window
+        assert seen_devices == seen_window == ["02:00:00:00:00:02", "02:00:00:00:00:03"]
         assert log.devices == ["02:00:00:00:00:0" + k for k in "1234"]
 
     def test_track_unknown_device(self):

@@ -119,7 +119,7 @@ class TestParse:
             parse_rules("RULE r: IF IN_GROUP_OF(0, 60) THEN 'x'")
         with pytest.raises(RuleSyntaxError):
             parse_rules("RULE r: IF IN_GROUP_OF(2, 0) THEN 'x'")
-        for n, t in ((0, 60), (2, 0), (2, float("nan"))):
+        for n, t in ((0, 60), (2, 0), (2, float("nan")), (float("nan"), 10), (2.5, 10), (True, 10)):
             with pytest.raises(ValueError):
                 InGroupOf(n, t)
 
@@ -473,7 +473,16 @@ class TestClock:
 
     def test_engine_config_validation(self):
         nan = float("nan")
-        for bad in (dict(delta=-1.0), dict(delta=nan), dict(omega=0.0), dict(omega=nan), dict(min_steps=0)):
+        for bad in (
+            dict(delta=-1.0),
+            dict(delta=nan),
+            dict(omega=0.0),
+            dict(omega=nan),
+            dict(min_steps=0),
+            dict(min_steps=1.5),
+            dict(min_steps=nan),
+            dict(min_steps=True),
+        ):
             with pytest.raises(ValueError):
                 EngineConfig(**bad)
 

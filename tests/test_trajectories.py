@@ -54,6 +54,10 @@ class TestTypes:
             ConvoyParams(e=1.0, m=0, k=1)
         with pytest.raises(ValueError):
             ConvoyParams(e=1.0, m=2, k=0)
+        nan = float("nan")
+        for m, k in ((nan, 1), (2, nan), (2.0, 1), (2, 1.5), (True, 1), (2, True)):
+            with pytest.raises(ValueError):
+                ConvoyParams(e=1.0, m=m, k=k)
 
     def test_convoy_lifetime(self):
         c = Convoy(frozenset({"a", "b"}), 3, 7)

@@ -43,8 +43,11 @@ shares nothing, and nothing is kept between calls.
 The log keeps one dict of tracks keyed by device id and sorts the ids only
 when a read asks for them in order. Reads are pure and never mutate the
 store. A log may serve many concurrent readers beside at most one writer
-calling ingest: each read takes the track table in one call (sorted, or a
-list of its values), so a device added meanwhile is not part of that read.
+calling ingest: each read takes the track table in one call (its sorted
+keys, or a list of its values), so a device added meanwhile is not part of
+that read. Those calls make no object per entry; copying the items would,
+and a collection run by one of those allocations may switch to the writer
+while the dict is half read.
 """
 
 from __future__ import annotations
@@ -285,9 +288,12 @@ class ProximityLog:
             raise ValueError(f"empty window: [{t_lo}, {t_hi}]")
         skip = canonical_id(exclude) if exclude is not None else None
         out: list[tuple[DeviceId, Fingerprint]] = []
-        for device, track in sorted(self._tracks.items()):
+        tracks = self._tracks
+        # The keys, not the items: see the module docstring.
+        for device in sorted(tracks):
             if device == skip:
                 continue
+            track = tracks[device]
             i = bisect_right(track._times, t_hi) - 1
             if i >= 0 and track._times[i] >= t_lo:
                 out.append((device, track._samples[i]))

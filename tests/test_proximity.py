@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import random
@@ -232,7 +233,19 @@ class TestLog:
         assert "02:00:00:00:00:01" in log
         assert "02:00:00:00:00:09" not in log
 
-    def test_readers_see_each_device_once_while_ingest_adds_devices(self):
+    def test_new_device_leaves_the_old_order_alone(self):
+        # A device whose id sorts first leaves what an earlier read returned
+        # as it was.
+        log = ProximityLog()
+        put(log, "02:00:00:00:00:02", 1.0, {"0a:00:00:00:00:01": -50})
+        devices = log.devices
+        window = log.measurements_in_window(0.0, 5.0)
+        put(log, "02:00:00:00:00:01", 2.0, {"0a:00:00:00:00:01": -50})
+        assert devices == ["02:00:00:00:00:02"]
+        assert [device for device, _ in window] == ["02:00:00:00:00:02"]
+        assert log.devices == ["02:00:00:00:00:01", "02:00:00:00:00:02"]
+
+    def test_reader_sees_each_device_once_across_a_new_device(self):
         # A read takes the devices present at its call; ingesting a device
         # that sorts first or last meanwhile neither shifts nor repeats any.
         log = ProximityLog()
@@ -249,6 +262,45 @@ class TestLog:
         seen_window += window
         assert seen_devices == seen_window == ["02:00:00:00:00:02", "02:00:00:00:00:03"]
         assert log.devices == ["02:00:00:00:00:0" + k for k in "1234"]
+
+    def test_reads_survive_a_collection_that_adds_a_device(self):
+        # A collection inside a read may switch to the writer; a finalizer
+        # that ingests a device stands in for it, deterministically.
+        log = ProximityLog()
+        fp = Fingerprint(1.0, snapshot({X: -50}))
+        for i in range(200):
+            log.ingest(f"02:00:00:00:00:{i:02x}", fp)
+        live = [True]
+
+        class Cycle:
+            def __init__(self):
+                self.me = self
+
+            def __del__(self):
+                if live[0]:
+                    log.ingest(f"02:00:00:01:{len(log) >> 8:02x}:{len(log) & 255:02x}", fp)
+                    Cycle()  # garbage for the next collection inside the read
+
+        threshold, enabled = gc.get_threshold(), gc.isenabled()
+        try:
+            for read in (lambda: log.devices, lambda: log.measurements_in_window(0.0, 5.0)):
+                # Held so that a read building (id, track) pairs must allocate,
+                # and so collect, rather than reuse freed pairs.
+                pairs = [(i, i) for i in range(5000)]
+                before = len(log)
+                gc.disable()
+                Cycle()
+                gc.set_threshold(1)
+                gc.enable()
+                read()
+                assert len(log) > before
+                del pairs
+        finally:
+            live[0] = False
+            gc.set_threshold(*threshold)
+            if not enabled:
+                gc.disable()
+            gc.collect()
 
     def test_track_unknown_device(self):
         log = ProximityLog()

@@ -1,4 +1,4 @@
-"""Error types shared across the package, and the count check parameters share.
+"""Error types shared across the package, and the checks parameters share.
 
 Every domain error derives from ConvoylogError so callers (notably the CLI)
 can catch one base class and turn any rule, log, or scenario problem into a
@@ -60,6 +60,17 @@ class RuleSyntaxError(ConvoylogError):
 
 class DuplicateRuleIdError(ConvoylogError):
     """Two rules in one ruleset share an identifier."""
+
+
+def check_threshold(value: float, name: str, *, zero_ok: bool = False) -> None:
+    """ValueError unless value is above 0, or at least 0 when zero_ok, and
+    not a bool (NaN fails both)."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if zero_ok and not value >= 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    if not zero_ok and not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 def check_count(value: int, name: str) -> None:

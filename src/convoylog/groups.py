@@ -54,7 +54,7 @@ from dataclasses import dataclass
 # groups.comparable stays bound because perfbench/tracing.py wraps it by that
 # name; the walk tests snapshots through _matches.
 from .comparability import _matches, comparable
-from .errors import EmptyEnvironmentError, check_count
+from .errors import EmptyEnvironmentError, check_count, check_threshold
 from .proximity import (
     DeviceId,
     EnvironmentSnapshot,
@@ -69,10 +69,8 @@ def check_thresholds(delta: float, omega: float, min_steps: int) -> None:
 
     Shared by GroupQueryParams and the rule engine's EngineConfig.
     """
-    if not delta >= 0:
-        raise ValueError(f"delta must be non-negative, got {delta}")
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    check_threshold(delta, "delta", zero_ok=True)
+    check_threshold(omega, "omega")
     check_count(min_steps, "min_steps")
 
 
@@ -98,8 +96,7 @@ class GroupQueryParams:
 
     def __post_init__(self):
         check_thresholds(self.delta, self.omega, self.min_steps)
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        check_threshold(self.t_max, "t_max")
         check_count(self.n, "n")
 
 

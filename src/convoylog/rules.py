@@ -127,9 +127,15 @@ class InGroupOf(Predicate):
     t: int
 
     def __post_init__(self):
-        check_count(self.n, "n")
-        if not self.t > 0:
-            raise ValueError(f"t must be positive, got {self.t}")
+        # Both print as integer literals, which must fit a float (_tokenize),
+        # and t is used as float seconds.
+        for name in ("n", "t"):
+            value = getattr(self, name)
+            check_count(value, name)
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{name} is out of float range") from None
 
 
 @dataclass(frozen=True)

@@ -178,11 +178,16 @@ class TestDiscoverGroup:
         with pytest.raises(ValueError):
             GroupQueryParams(delta=1, omega=10, t_max=20, n=2, min_steps=0)
         nan = float("nan")
-        # n and min_steps are counts: a float, even a NaN, or a bool is refused
+        # n and min_steps are counts: a float, even a NaN, or a bool is refused;
+        # the tolerances and t_max are numbers, not bools
         for bad in (
             dict(delta=nan),
             dict(omega=nan),
             dict(t_max=nan),
+            dict(delta=True),
+            dict(delta=False),
+            dict(omega=True),
+            dict(t_max=True),
             dict(n=nan),
             dict(n=2.0),
             dict(n=True),

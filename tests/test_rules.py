@@ -119,9 +119,35 @@ class TestParse:
             parse_rules("RULE r: IF IN_GROUP_OF(0, 60) THEN 'x'")
         with pytest.raises(RuleSyntaxError):
             parse_rules("RULE r: IF IN_GROUP_OF(2, 0) THEN 'x'")
-        for n, t in ((0, 60), (2, 0), (2, float("nan")), (float("nan"), 10), (2.5, 10), (True, 10)):
+        for n, t in (
+            (0, 60),
+            (2, 0),
+            (2, float("nan")),
+            (float("nan"), 10),
+            (2.5, 10),
+            (True, 10),
+            (2, 2.5),
+            (2, True),
+            (2, 10**400),
+        ):
             with pytest.raises(ValueError):
                 InGroupOf(n, t)
+
+    @given(
+        n=st.one_of(st.integers(-2, 5), st.just(10**400), st.floats(), st.booleans()),
+        t=st.one_of(st.integers(-2, 3600), st.just(10**400), st.floats(), st.booleans()),
+    )
+    @example(n=2, t=2.5)
+    def test_in_group_of_holds_only_what_its_text_carries(self, n, t):
+        # a bool or fractional lookback printed as IN_GROUP_OF(2, True) or
+        # IN_GROUP_OF(2, 2.5) would not parse back
+        try:
+            term = InGroupOf(n, t)
+        except ValueError:
+            return
+        assert type(term.n) is int and type(term.t) is int
+        rules = (Rule("r", term, "x"),)
+        assert parse_rules(format_rules(rules)) == rules
 
     def test_oversized_integer_literals(self):
         # 5000 digits exceed the interpreter's int-parsing limit; a 400-digit
@@ -482,6 +508,9 @@ class TestClock:
             dict(min_steps=1.5),
             dict(min_steps=nan),
             dict(min_steps=True),
+            dict(delta=True),
+            dict(delta=False),
+            dict(omega=True),
         ):
             with pytest.raises(ValueError):
                 EngineConfig(**bad)

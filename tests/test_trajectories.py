@@ -50,6 +50,8 @@ class TestTypes:
             ConvoyParams(e=0.0, m=2, k=1)
         with pytest.raises(ValueError):
             ConvoyParams(e=float("nan"), m=2, k=1)
+        with pytest.raises(ValueError, match="e must be a number"):
+            ConvoyParams(e=True, m=2, k=1)
         with pytest.raises(ValueError):
             ConvoyParams(e=1.0, m=0, k=1)
         with pytest.raises(ValueError):
@@ -319,6 +321,17 @@ class TestDensityClusters:
         with pytest.raises(ValueError, match="duplicate object id 'b'"):
             density_clusters(points, 1.0, 1)
 
+    def test_m_is_a_count(self):
+        # a NaN m fails every `len(near) < m` test, so each object would seed
+        # a cluster of its own
+        points = [("a", Point(0, 0)), ("b", Point(0.5, 0)), ("c", Point(9, 9))]
+        for m in (float("nan"), 1.5, 2.0, True, 0):
+            with pytest.raises(ValueError, match="m must be"):
+                density_clusters(points, 1.0, m)
+        with pytest.raises(ValueError, match="e must be a number"):
+            density_clusters(points, True, 2)
+        assert density_clusters(points, 1.0, 2) == [frozenset({"a", "b"})]
+
     def test_nan_e_and_non_finite_coordinates_rejected(self):
         with pytest.raises(ValueError):
             density_clusters([("a", Point(0.0, 0.0))], float("nan"), 1)
@@ -394,21 +407,21 @@ class TestDiscoverConvoys:
                 return dict.__contains__(self, t)
 
         db._steps = SampledOnly(db._steps)
-        clustered = []
-        cluster = trajectories._clusters
+        swept = []
+        near = trajectories._near
 
-        def counted(ids, xs, ys, e, m):
-            clustered.append(list(ids))
-            assert len(clustered) <= len(sampled), "clustered more steps than were sampled"
-            return cluster(ids, xs, ys, e, m)
+        def counted(xs, ys, e):
+            swept.append(list(xs))
+            assert len(swept) <= len(sampled), "swept more steps than were sampled"
+            return near(xs, ys, e)
 
-        monkeypatch.setattr(trajectories, "_clusters", counted)
+        monkeypatch.setattr(trajectories, "_near", counted)
         got = discover_convoys(db, ConvoyParams(e=5, m=2, k=2))
         assert got == [
             Convoy(frozenset({"a", "b"}), 0, 2),
             Convoy(frozenset({"a", "b"}), far, far + 1),
         ]
-        assert clustered == [["a", "b"]] * len(sampled)
+        assert swept == [[0.0, 0.0]] * len(sampled)
 
     def test_regrouping_yields_two_convoys(self):
         got = discover_convoys(
@@ -494,6 +507,108 @@ class TestDiscoverConvoys:
                         and c.t_end <= other.t_end
                     )
                     assert not dominated
+
+
+def frames(*steps):
+    """Rows from (t, {object: (x, y)}) steps."""
+    return [(obj, t, float(x), float(y)) for t, at in steps for obj, (x, y) in at.items()]
+
+
+# Steps whose clustering inputs repeat the previous step's, or nearly.
+PAIR = {"a": (0, 0), "b": (1, 0)}
+LINE = {"a": (0, 0), "b": (1, 0), "c": (2, 0)}
+# a and c trade x: the same graph, but b's neighbour list comes out in
+# another order
+LINE_SWAPPED = {"a": (2, 0), "b": (1, 0), "c": (0, 0)}
+# b leaves and bx takes its place and its index: the same neighbour lists
+# over other ids
+PAIR_REPLACED = {"a": (0, 0), "bx": (1, 0)}
+STATIC = frames(*((t, {"a": (0, 0), "b": (1, 0), "c": (9, 9), "d": (9, 10), "e": (30, 30)}) for t in range(10)))
+REUSE_CASES = {
+    "static": (STATIC, 1),
+    "far object appears": (frames((0, PAIR), (1, PAIR), (2, {**PAIR, "z": (1000, 1000)}), (3, PAIR)), 3),
+    "x order swapped": (frames((0, LINE), (1, LINE), (2, LINE_SWAPPED), (3, LINE_SWAPPED)), 2),
+    "object replaced": (frames((0, PAIR), (1, PAIR), (2, PAIR_REPLACED), (3, PAIR_REPLACED)), 2),
+    "time gap": (frames((0, PAIR), (1, PAIR), (5, PAIR), (6, PAIR), (7, PAIR)), 1),
+}
+
+
+@st.composite
+def repeating_rows(draw):
+    """Rows whose steps often repeat the previous step's neighbour graph.
+
+    Each step first makes one move: hold still; move every object by the
+    same integer offset; let one far object come or go; swap two objects'
+    positions; replace one object by a new id at its place, which sorts
+    right after it; skip a time gap; or move one object anywhere. Integer
+    coordinates put many pairs at distance exactly e.
+    """
+    pos = {f"o{i}": (draw(st.integers(0, 6)), draw(st.integers(0, 3))) for i in range(draw(st.integers(2, 5)))}
+    rows, t = [], 0
+    for _ in range(draw(st.integers(1, 12))):
+        move = draw(st.sampled_from(["hold", "shift", "far", "swap", "replace", "gap", "jump"]))
+        if move == "shift":
+            dx, dy = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            pos = {obj: (x + dx, y + dy) for obj, (x, y) in pos.items()}
+        elif move == "far":
+            if pos.pop("zz", None) is None:
+                pos["zz"] = (1000, 1000)
+        elif move == "swap":
+            a, b = draw(st.sampled_from(sorted(pos))), draw(st.sampled_from(sorted(pos)))
+            pos[a], pos[b] = pos[b], pos[a]
+        elif move == "replace":
+            obj = draw(st.sampled_from(sorted(pos)))
+            pos[obj + "x"] = pos.pop(obj)
+        elif move == "gap":
+            t += draw(st.integers(1, 3))
+        elif move == "jump":
+            pos[draw(st.sampled_from(sorted(pos)))] = (draw(st.integers(0, 6)), draw(st.integers(0, 3)))
+        rows += [(obj, t, float(x), float(y)) for obj, (x, y) in pos.items()]
+        t += 1
+    return rows
+
+
+class TestStepReuse:
+    """discover_convoys grows a timestamp's clusters only when its ids or
+    neighbour lists differ from the previous timestamp's, and chaining
+    passes over a step that repeats the previous one's clusters."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=repeating_rows(),
+        e=st.sampled_from([1.0, 1.5, 2.5]),
+        m=st.integers(1, 3),
+        k=st.integers(1, 4),
+    )
+    @example(rows=REUSE_CASES["far object appears"][0], e=1.5, m=2, k=2)
+    @example(rows=REUSE_CASES["far object appears"][0], e=1.5, m=1, k=2)
+    @example(rows=REUSE_CASES["x order swapped"][0], e=1.5, m=2, k=2)
+    @example(rows=REUSE_CASES["x order swapped"][0], e=1.5, m=3, k=1)
+    @example(rows=REUSE_CASES["object replaced"][0], e=1.5, m=2, k=2)
+    @example(rows=REUSE_CASES["time gap"][0], e=1.5, m=2, k=2)
+    def test_matches_reference_miners(self, rows, e, m, k):
+        db = db_from(rows)
+        params = ConvoyParams(e=e, m=m, k=k)
+        got = discover_convoys(db, params)
+        assert got == reference_convoys(db, params)
+        if len(db) <= 7:
+            assert {(c.members, c.t_start, c.t_end) for c in got} == convoy_oracle(db, e, m, k)
+
+    @pytest.mark.parametrize("case", REUSE_CASES.values(), ids=REUSE_CASES.keys())
+    def test_counts_the_steps_grown(self, monkeypatch, case):
+        rows, want = case
+        grown = []
+        grow = trajectories._grow
+
+        def counted(ids, near, m):
+            grown.append(list(ids))
+            return grow(ids, near, m)
+
+        monkeypatch.setattr(trajectories, "_grow", counted)
+        db = db_from(rows)
+        params = ConvoyParams(e=1.5, m=2, k=2)
+        assert discover_convoys(db, params) == reference_convoys(db, params)
+        assert len(grown) == want
 
 
 class TestJsonl:

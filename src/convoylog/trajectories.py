@@ -38,22 +38,28 @@ of those and m, so the previous clusters are the answer. (A neighbour list
 follows the sweep's x order, so the same graph in another x order is
 simply grown again.) The chaining in turn passes over a timestamp that
 directly follows the previous one with equal clusters: every candidate
-lies whole in one of those clusters, which are disjoint and hold at least
-m members each, and every cluster is already a candidate, so each
-candidate survives unchanged, none is born and none ends. A gap in time
-still ends every run first. Only the previous step is kept, within one
-call. On the benchmark's long-history workload, 153-169 of the 1081
-timestamps are grown (seeds 1-3), and median convoy_samples_per_s rose
-from 315k to 554k samples/s (+75.9 %, 10 of 10 pairs) against growing
-every timestamp (BENCH_step_reuse.json). Crowd and live-replay objects
-move at every step, so all 31 of their timestamps are grown and their
-mining cost does not change.
+holds at least m members and lies whole in one of those clusters, which
+are disjoint, and every cluster of at least m members is already a
+candidate, so each candidate survives unchanged, none is born and none
+ends. A gap in time still ends every run first. Only the previous step is
+kept, within one call. On the benchmark's long-history workload, 153-169
+of the 1081 timestamps are grown and the chaining passes over 952-960 of
+them (seeds 1-3). Against growing and chaining every timestamp, median
+convoy_samples_per_s rose from 333k to 581k samples/s (1.74x, 10 of 10
+pairs); reusing growth alone reached 443k (1.33x), so each part carries
+about half of the gain (BENCH_step_reuse.json). Crowd and live-replay
+objects move at every step, so all 31 of their timestamps are grown and
+their mining cost does not change.
 
 Per timestamp, objects are grouped by density clustering: an object is a
 core when at least m objects (itself included) lie within distance e of it
 (inclusive); clusters grow from cores through overlapping neighborhoods,
 non-core edge objects join the first cluster that reaches them, and objects
-in no cluster are noise and are omitted. Clusters are grown to completion
+in no cluster are noise and are omitted. So a cluster can hold fewer than m
+members when m >= 4: an edge object that a later core needed goes to an
+earlier cluster. (With m <= 3 it cannot: an object within e of cores in
+two clusters has at least three objects within e, itself included, so it
+is a core and the two clusters are one.) Clusters are grown to completion
 one at a time from seed cores taken in ascending object id, which pins down
 the one free choice in the textbook procedure: an edge object reachable
 from two clusters lands in the cluster whose seed core has the smallest id.
@@ -78,12 +84,14 @@ distance rounds to exactly 1.0, yet they fall in cells 1 and -1.
 
 Across timestamps, candidate groups are intersected with the clusters of
 the next timestamp and survive while the intersection keeps at least m
-members; a candidate whose run just ended is emitted when it lasted at
-least k timestamps. This is the candidate-cluster intersection of CMC
-(Jeung et al., "Discovery of convoys in trajectory databases", VLDB 2008).
-Each timestamp's clusters are labeled by index, each object mapped to its
-cluster's label, and a candidate is intersected only with the clusters
-that hold one of its members, in ascending label order. Skipping the other
+members; each cluster of at least m members that is not already a
+candidate starts one, and a candidate whose run just ended is emitted
+when it lasted at least k timestamps. This is the candidate-cluster
+intersection of CMC (Jeung et al., "Discovery of convoys in trajectory
+databases", VLDB 2008). Each timestamp's clusters are labeled by index,
+each object mapped to its cluster's label, and a candidate is intersected
+only with the clusters that hold one of its members, in ascending label
+order. Skipping the other
 clusters changes nothing: a cluster that shares no member with the
 candidate leaves an empty intersection, which never reaches m >= 1. A
 missing sample drops the object from that timestamp's clustering, which
@@ -362,7 +370,8 @@ def _chain(
     for t, clusters in steps:
         if clusters == prev_clusters and t == prev + 1:
             # Every candidate lies whole in one of these clusters and every
-            # cluster is a candidate: the step keeps them all as they are.
+            # cluster of at least m members is a candidate: the step keeps
+            # them all as they are.
             prev = t
             continue
         if cands and t != prev + 1:
@@ -387,7 +396,7 @@ def _chain(
                 if not survived_whole and (t - 1) - start + 1 >= k:
                     found.add((members, start, t - 1))
         for cluster in clusters:
-            if cluster not in nxt:
+            if len(cluster) >= m and cluster not in nxt:
                 nxt[cluster] = t
         cands = nxt
         prev, prev_clusters = t, clusters

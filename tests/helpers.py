@@ -503,7 +503,9 @@ def reference_convoys(db: TrajectoryDb, params: ConvoyParams) -> list[Convoy]:
     """discover_convoys as the plain CMC loop: every candidate is intersected
     with every cluster of the next timestamp, and every pair of results is
     tested for domination. Clusters come from dbscan_oracle, so no part of
-    the library's mining is used."""
+    the library's mining is used. A cluster that lost a contested edge
+    object to an earlier one can hold fewer than m members; it starts no
+    candidate."""
     found: set[tuple[frozenset[str], int, int]] = set()
 
     def end_runs(cands: dict[frozenset[str], int], end: int) -> None:
@@ -531,7 +533,7 @@ def reference_convoys(db: TrajectoryDb, params: ConvoyParams) -> list[Convoy]:
             if not survived_whole and (t - 1) - start + 1 >= params.k:
                 found.add((members, start, t - 1))
         for cluster in clusters:
-            if cluster not in nxt:
+            if len(cluster) >= params.m and cluster not in nxt:
                 nxt[cluster] = t
         cands = nxt
         prev = t

@@ -523,6 +523,10 @@ LINE_SWAPPED = {"a": (2, 0), "b": (1, 0), "c": (0, 0)}
 # b leaves and bx takes its place and its index: the same neighbour lists
 # over other ids
 PAIR_REPLACED = {"a": (0, 0), "bx": (1, 0)}
+# With e = 1 and m = 4, c is an edge object of both a's cluster and b's:
+# the earlier cluster {a, c, d, g} takes it, so b's cluster {b, f1, f2}
+# holds fewer than m members, and no convoy may be made of it.
+CONTESTED = {"a": (0, 0), "b": (2, 0), "c": (1, 0), "d": (-1, 0), "g": (0, 1), "f1": (3, 0), "f2": (2, 1)}
 STATIC = frames(*((t, {"a": (0, 0), "b": (1, 0), "c": (9, 9), "d": (9, 10), "e": (30, 30)}) for t in range(10)))
 REUSE_CASES = {
     "static": (STATIC, 1),
@@ -543,7 +547,7 @@ def repeating_rows(draw):
     right after it; skip a time gap; or move one object anywhere. Integer
     coordinates put many pairs at distance exactly e.
     """
-    pos = {f"o{i}": (draw(st.integers(0, 6)), draw(st.integers(0, 3))) for i in range(draw(st.integers(2, 5)))}
+    pos = {f"o{i}": (draw(st.integers(0, 6)), draw(st.integers(0, 3))) for i in range(draw(st.integers(2, 7)))}
     rows, t = [], 0
     for _ in range(draw(st.integers(1, 12))):
         move = draw(st.sampled_from(["hold", "shift", "far", "swap", "replace", "gap", "jump"]))
@@ -577,9 +581,11 @@ class TestStepReuse:
     @given(
         rows=repeating_rows(),
         e=st.sampled_from([1.0, 1.5, 2.5]),
-        m=st.integers(1, 3),
+        m=st.integers(1, 4),
         k=st.integers(1, 4),
     )
+    @example(rows=frames((0, CONTESTED), (1, CONTESTED)), e=1.0, m=4, k=2)
+    @example(rows=frames((0, CONTESTED), (1, CONTESTED)), e=1.0, m=4, k=1)
     @example(rows=REUSE_CASES["far object appears"][0], e=1.5, m=2, k=2)
     @example(rows=REUSE_CASES["far object appears"][0], e=1.5, m=1, k=2)
     @example(rows=REUSE_CASES["x order swapped"][0], e=1.5, m=2, k=2)

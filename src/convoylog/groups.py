@@ -36,7 +36,8 @@ member set (steps_processed still reports the evidence count).
 Lookbacks nest: a shorter lookback's walk is a prefix of a longer one's,
 with the same seeds and the same decision at every step. So the walk records
 the time of each step it processed and of the step at which each candidate
-dropped, and one walk answers every shorter lookback too (_Walk.members).
+dropped, and one walk answers every shorter lookback too (_Walk.members,
+or _Walk.count for their number).
 discover_group makes one walk per call and keeps no record. The rule engine
 makes one walk per evaluation, at the ruleset's longest IN_GROUP_OF
 lookback, even when only a shorter one is asked; the walk still stops when
@@ -146,15 +147,31 @@ class _Walk:
 
         Such a scan processes the steps at or after horizon and makes the same
         decision at each, so it keeps the survivors and every candidate that
-        dropped before horizon. It saw fewer than min_steps samples unless
-        the (min_steps - 1)-th step lies at or after horizon.
+        dropped before horizon, unless it saw fewer than min_steps samples.
         """
-        k = min_steps - 1
-        if k > 0 and (len(self.steps) < k or self.steps[k - 1] < horizon):
+        if not self._seen_enough(horizon, min_steps):
             return frozenset()
         return frozenset(self.survivors).union(
             device for device, t in self.dropped.items() if t < horizon
         )
+
+    def count(self, horizon: float, min_steps: int) -> int:
+        """len(self.members(horizon, min_steps)), counted without building
+        the set: the survivors and the dropped candidates are distinct
+        devices."""
+        if not self._seen_enough(horizon, min_steps):
+            return 0
+        n = len(self.survivors)
+        for t in self.dropped.values():
+            if t < horizon:
+                n += 1
+        return n
+
+    def _seen_enough(self, horizon: float, min_steps: int) -> bool:
+        """Whether a scan back to horizon saw at least min_steps samples:
+        the (min_steps - 1)-th step lies at or after horizon."""
+        k = min_steps - 1
+        return k <= 0 or (len(self.steps) >= k and self.steps[k - 1] >= horizon)
 
 
 def _walk(

@@ -20,23 +20,43 @@ is shaped like one (12 hex digits with separators). Strings take single or
 double quotes. A backslash escapes any character, a line break included; a
 string holds no unescaped line break.
 
-Predicate semantics live in eval_predicate; evaluation never raises on
+Predicate semantics live in eval_predicate, which finds each node's
+evaluator in one table keyed by the node's type. Evaluation never raises on
 odd context (no visible networks, unknown device, empty history), it just
 answers False, so a rule server can evaluate any ruleset against any
-snapshot. Thresholds that tune group discovery (time and RSSI tolerances)
-are engine configuration, not rule text: rule authors say "n devices over
-the last t seconds" and operators own the radio calibration.
+snapshot. A node is checked when it is built instead: a field that its text
+cannot carry (a relation outside RELATIONS, minutes that are not an int in
+[0, 1440), a network that is not a str) is a ValueError. What the ruleset
+fixes is settled then too, so an evaluation does only the work that
+depends on its context: each network reference is resolved once, to a
+canonical bssid or to ssid text; TimeCompare holds its operator; and each
+node knows the longest IN_GROUP_OF lookback within it. Thresholds that tune
+group discovery (time and RSSI tolerances) are engine configuration, not
+rule text: rule authors say "n devices over the last t seconds" and
+operators own the radio calibration.
 
 Within one eval_rules call the rules share their costly answers: one group
 walk and one visit check for FIRST_VISIT and FOLLOW_UP_VISIT. Lookbacks
 nest, so the walk goes back to the ruleset's longest IN_GROUP_OF lookback
 and answers every lookback and every group size n from what it recorded,
-exactly as a scan per lookback would. The trade-off: a ruleset whose longest
-lookback sits behind a rarely true guard now walks that far whenever any
-group predicate is evaluated, though the walk still stops when its
-candidates run out. Each shared answer is made on first need and dropped
-when the call returns; nothing is kept across calls, since the log may
-change between evaluations.
+exactly as a scan per lookback would, counting each lookback's members
+without building the set. The trade-off: a ruleset whose longest lookback
+sits behind a rarely true guard now walks that far whenever any group
+predicate is evaluated, though the walk still stops when its candidates run
+out. Each shared answer is made on first need and dropped when the call
+returns; nothing is kept across calls, since the log may change between
+evaluations.
+
+The visit check finds where the current visit starts by jumps of
+session_gap, not sample by sample. From an edge (now, then the oldest
+sample reached so far), every sample t with edge - t <= session_gap, as
+floats compute it, chains to the edge: edge - t rounds monotonically in t,
+so the gap from t to the next newer sample is no larger. One bisect for
+edge - session_gap finds the oldest such sample, up to the rounding of that
+subtraction, and a step at a time with the test itself corrects it. On
+seed 1 of the benchmark the sample-by-sample walk stepped back 120 samples
+per check on long-history, where the jumps make 2 bisects, and 14-15 on
+crowd and live-replay, where they make 1; no correcting step was needed.
 
 Rulesets are immutable after parsing and evaluation is pure, so one parsed
 ruleset may serve concurrent evaluations against a shared log snapshot.
@@ -45,14 +65,14 @@ ruleset may serve concurrent evaluations against a shared log snapshot.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
-from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import NamedTuple
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, eq, ge, gt, le, lt
+from typing import Any, NamedTuple
 
 from . import groups
-from .errors import DuplicateRuleIdError, RuleSyntaxError, check_count
+from .errors import DuplicateRuleIdError, RuleSyntaxError, check_count, check_threshold
 # rules.in_group_of stays bound because perfbench/tracing.py wraps it by that
 # name. Evaluation calls groups._walk through the module instead, to share one
 # walk between all its lookbacks.
@@ -67,31 +87,83 @@ from .proximity import (
 )
 
 RELATIONS = ("<", "<=", "=", ">=", ">")
+_COMPARE = dict(zip(RELATIONS, (lt, le, eq, ge, gt)))
+
+
+def _check_minutes(value: int, name: str) -> None:
+    """ValueError unless value is an int, not a bool, in [0, 1440): a time
+    of day in minutes since midnight, as 'HH:MM' writes it."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 1440:
+        raise ValueError(f"{name} must be minutes since midnight, an integer in [0, 1440), got {value!r}")
+
+
+class _Network(NamedTuple):
+    """A network reference resolved once: a canonical bssid, or ssid text."""
+
+    key: str
+    by_bssid: bool
+
+
+def _network(reference: str) -> _Network:
+    if not isinstance(reference, str):
+        raise ValueError(f"network must be a string, got {reference!r}")
+    if looks_like_hw_addr(reference):
+        return _Network(canonical_id(reference), True)
+    return _Network(reference, False)
 
 
 # --- Condition AST -----------------------------------------------------------
 
 
 class Predicate:
-    """Base class for condition nodes; subclasses are frozen dataclasses."""
+    """Base class for condition nodes; subclasses are frozen dataclasses.
+
+    Fields that evaluation reads but rule text does not write are settled in
+    __post_init__ (init=False, compare=False): a term's resolved networks,
+    TimeCompare's operator, and _lookback, the longest IN_GROUP_OF lookback
+    within the node (0 when it has none).
+    """
 
     __slots__ = ()
+    _lookback = 0
+
+
+def _longest_lookback(*operands: Predicate) -> int:
+    """The longest IN_GROUP_OF lookback among a node's operands."""
+    for p in operands:
+        if not isinstance(p, Predicate):
+            raise TypeError(f"not a predicate: {p!r}")
+    return max(p._lookback for p in operands)
 
 
 @dataclass(frozen=True)
 class IsVisible(Predicate):
     network: str
+    _network: _Network = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_network", _network(self.network))
 
 
 @dataclass(frozen=True)
 class NotVisible(Predicate):
     network: str
+    _network: _Network = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_network", _network(self.network))
 
 
 @dataclass(frozen=True)
 class CloseThan(Predicate):
     near: str
     far: str
+    _near: _Network = field(init=False, repr=False, compare=False)
+    _far: _Network = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_near", _network(self.near))
+        object.__setattr__(self, "_far", _network(self.far))
 
 
 @dataclass(frozen=True)
@@ -112,11 +184,22 @@ class TimeWithin(Predicate):
     start: int
     end: int
 
+    def __post_init__(self):
+        _check_minutes(self.start, "start")
+        _check_minutes(self.end, "end")
+
 
 @dataclass(frozen=True)
 class TimeCompare(Predicate):
     relation: str
     minutes: int
+    _compare: Callable[[int, int], bool] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.relation not in _COMPARE:
+            raise ValueError(f"relation must be one of {', '.join(RELATIONS)}, got {self.relation!r}")
+        _check_minutes(self.minutes, "minutes")
+        object.__setattr__(self, "_compare", _COMPARE[self.relation])
 
 
 @dataclass(frozen=True)
@@ -125,6 +208,7 @@ class InGroupOf(Predicate):
 
     n: int
     t: int
+    _lookback: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Both print as integer literals, which must fit a float (_tokenize),
@@ -136,23 +220,36 @@ class InGroupOf(Predicate):
                 float(value)
             except OverflowError:
                 raise ValueError(f"{name} is out of float range") from None
+        object.__setattr__(self, "_lookback", self.t)
 
 
 @dataclass(frozen=True)
 class And(Predicate):
     left: Predicate
     right: Predicate
+    _lookback: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lookback", _longest_lookback(self.left, self.right))
 
 
 @dataclass(frozen=True)
 class Or(Predicate):
     left: Predicate
     right: Predicate
+    _lookback: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lookback", _longest_lookback(self.left, self.right))
 
 
 @dataclass(frozen=True)
 class Not(Predicate):
     operand: Predicate
+    _lookback: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lookback", _longest_lookback(self.operand))
 
 
 @dataclass(frozen=True)
@@ -513,10 +610,9 @@ class EvalContext:
     def __post_init__(self):
         object.__setattr__(self, "device", canonical_id(self.device))
         object.__setattr__(self, "now", finite_time(self.now, "now"))
-        if not self.session_gap > 0:
-            raise ValueError(f"session_gap must be positive, got {self.session_gap}")
-        if self.time_of_day is not None and not 0 <= self.time_of_day < 1440:
-            raise ValueError(f"time_of_day out of range: {self.time_of_day}")
+        check_threshold(self.session_gap, "session_gap")
+        if self.time_of_day is not None:
+            _check_minutes(self.time_of_day, "time_of_day")
 
     def minutes_of_day(self) -> int:
         if self.time_of_day is not None:
@@ -524,16 +620,14 @@ class EvalContext:
         return int(self.now % 86400.0) // 60
 
 
-def _matching_levels(network: str, env: EnvironmentSnapshot) -> list[int]:
-    """RSSI values of observations matching a network reference.
-
-    Hardware-address-shaped references match bssid; anything else matches
-    ssid text exactly (several access points may share an ssid).
-    """
-    if looks_like_hw_addr(network):
-        level = env.rssi(network)
-        return [] if level is None else [level]
-    return [o.rssi for o in env.observations if o.ssid == network]
+def _matching_levels(network: _Network, env: EnvironmentSnapshot) -> list[int]:
+    """RSSI values of the observations a network reference matches: the one
+    with its bssid, or every one with its ssid (access points may share an
+    ssid)."""
+    key = network.key
+    if network.by_bssid:
+        return [o.rssi for o in env.observations if o.bssid == key]
+    return [o.rssi for o in env.observations if o.ssid == key]
 
 
 _sample_time = attrgetter("t")
@@ -544,31 +638,31 @@ def _had_previous_visit_overlap(ctx: EvalContext) -> bool:
 
     Walking back from now, samples chained by gaps of at most session_gap
     form the current visit (a sample exactly at now belongs to it); anything
-    before the first longer gap belongs to previous visits.
+    before the first longer gap belongs to previous visits. The start of the
+    current visit is found by jumps, as the module docstring describes.
     """
     current_ids = ctx.current.bssids
     if not current_ids or ctx.device not in ctx.log:
         return False
     samples = ctx.log.track(ctx.device).samples
-    i = bisect_right(samples, ctx.now, key=_sample_time) - 1
+    gap = ctx.session_gap
     edge = ctx.now
-    while i >= 0 and edge - samples[i].t <= ctx.session_gap:
-        edge = samples[i].t
-        i -= 1
-    for j in range(i, -1, -1):
+    # samples[:i] are not yet known to be in the current visit.
+    i = bisect_right(samples, edge, key=_sample_time)
+    while i:
+        j = bisect_left(samples, edge - gap, 0, i, key=_sample_time)
+        while j and edge - samples[j - 1].t <= gap:
+            j -= 1
+        while j < i and edge - samples[j].t > gap:
+            j += 1
+        if j == i:
+            break
+        edge, i = samples[j].t, j
+    for j in range(i - 1, -1, -1):
         for o in samples[j].env.observations:
             if o.bssid in current_ids:
                 return True
     return False
-
-
-def _longest_lookback(p: Predicate) -> int:
-    """The longest IN_GROUP_OF lookback in a condition, 0 when it has none."""
-    if isinstance(p, (And, Or)):
-        return max(_longest_lookback(p.left), _longest_lookback(p.right))
-    if isinstance(p, Not):
-        return _longest_lookback(p.operand)
-    return p.t if isinstance(p, InGroupOf) else 0
 
 
 class _Shared:
@@ -588,6 +682,57 @@ class _Shared:
         self.visited: bool | None = None
 
 
+def _visited(ctx: EvalContext, shared: _Shared) -> bool:
+    if shared.visited is None:
+        shared.visited = _had_previous_visit_overlap(ctx)
+    return shared.visited
+
+
+def _close_than(p: CloseThan, ctx: EvalContext, shared: _Shared) -> bool:
+    near = _matching_levels(p._near, ctx.current)
+    if not near:
+        return False
+    far = _matching_levels(p._far, ctx.current)
+    return not far or max(near) > max(far)
+
+
+def _time_within(p: TimeWithin, ctx: EvalContext, shared: _Shared) -> bool:
+    tod = ctx.minutes_of_day()
+    if p.start <= p.end:
+        return p.start <= tod < p.end
+    return tod >= p.start or tod < p.end
+
+
+def _in_group_of(p: InGroupOf, ctx: EvalContext, shared: _Shared) -> bool:
+    if len(ctx.current) == 0:
+        return False
+    config = ctx.config
+    if shared.walk is None:
+        longest = max([p.t, *(r.condition._lookback for r in shared.rules)])
+        shared.walk = groups._walk(
+            ctx.log, ctx.device, ctx.now, ctx.current, config.delta, config.omega, ctx.now - longest
+        )
+    return shared.walk.count(ctx.now - p.t, config.min_steps) + 1 >= p.n
+
+
+# How each kind of node is evaluated. And, Or and Not evaluate their
+# operands through the module's eval_predicate, so a wrapper installed there
+# (perfbench/tracing.py) sees every node.
+_EVALUATE: dict[type[Predicate], Callable[[Any, EvalContext, _Shared], bool]] = {
+    And: lambda p, ctx, shared: eval_predicate(p.left, ctx, shared) and eval_predicate(p.right, ctx, shared),
+    Or: lambda p, ctx, shared: eval_predicate(p.left, ctx, shared) or eval_predicate(p.right, ctx, shared),
+    Not: lambda p, ctx, shared: not eval_predicate(p.operand, ctx, shared),
+    IsVisible: lambda p, ctx, shared: bool(_matching_levels(p._network, ctx.current)),
+    NotVisible: lambda p, ctx, shared: not _matching_levels(p._network, ctx.current),
+    CloseThan: _close_than,
+    FirstVisit: lambda p, ctx, shared: not _visited(ctx, shared),
+    FollowUpVisit: lambda p, ctx, shared: _visited(ctx, shared),
+    TimeWithin: _time_within,
+    TimeCompare: lambda p, ctx, shared: p._compare(ctx.minutes_of_day(), p.minutes),
+    InGroupOf: _in_group_of,
+}
+
+
 def eval_predicate(p: Predicate, ctx: EvalContext, shared: _Shared | None = None) -> bool:
     """Evaluate one condition; never raises on odd context, answers False.
 
@@ -596,51 +741,11 @@ def eval_predicate(p: Predicate, ctx: EvalContext, shared: _Shared | None = None
     """
     if shared is None:
         shared = _Shared()
-    if isinstance(p, And):
-        return eval_predicate(p.left, ctx, shared) and eval_predicate(p.right, ctx, shared)
-    if isinstance(p, Or):
-        return eval_predicate(p.left, ctx, shared) or eval_predicate(p.right, ctx, shared)
-    if isinstance(p, Not):
-        return not eval_predicate(p.operand, ctx, shared)
-    if isinstance(p, IsVisible):
-        return bool(_matching_levels(p.network, ctx.current))
-    if isinstance(p, NotVisible):
-        return not _matching_levels(p.network, ctx.current)
-    if isinstance(p, CloseThan):
-        near = _matching_levels(p.near, ctx.current)
-        if not near:
-            return False
-        far = _matching_levels(p.far, ctx.current)
-        return not far or max(near) > max(far)
-    if isinstance(p, (FirstVisit, FollowUpVisit)):
-        if shared.visited is None:
-            shared.visited = _had_previous_visit_overlap(ctx)
-        return shared.visited if isinstance(p, FollowUpVisit) else not shared.visited
-    if isinstance(p, TimeWithin):
-        tod = ctx.minutes_of_day()
-        if p.start <= p.end:
-            return p.start <= tod < p.end
-        return tod >= p.start or tod < p.end
-    if isinstance(p, TimeCompare):
-        tod = ctx.minutes_of_day()
-        return {
-            "<": tod < p.minutes,
-            "<=": tod <= p.minutes,
-            "=": tod == p.minutes,
-            ">=": tod >= p.minutes,
-            ">": tod > p.minutes,
-        }[p.relation]
-    if isinstance(p, InGroupOf):
-        if len(ctx.current) == 0:
-            return False
-        config = ctx.config
-        if shared.walk is None:
-            longest = max([p.t, *(_longest_lookback(r.condition) for r in shared.rules)])
-            shared.walk = groups._walk(
-                ctx.log, ctx.device, ctx.now, ctx.current, config.delta, config.omega, ctx.now - longest
-            )
-        return len(shared.walk.members(ctx.now - p.t, config.min_steps)) + 1 >= p.n
-    raise TypeError(f"not a predicate: {p!r}")
+    try:
+        evaluate = _EVALUATE[type(p)]
+    except KeyError:
+        raise TypeError(f"not a predicate: {p!r}") from None
+    return evaluate(p, ctx, shared)
 
 
 def eval_rules(

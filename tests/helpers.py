@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
@@ -19,23 +19,38 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from convoylog import (
+    And,
     ApObservation,
+    CloseThan,
     Convoy,
     ConvoyParams,
     ConvoylogError,
     DuplicateBssidError,
     EnvironmentSnapshot,
+    EvalContext,
     Fingerprint,
+    FirstVisit,
+    FollowUpVisit,
     GroundTruthRecord,
     GroupQueryParams,
+    InGroupOf,
+    IsVisible,
     LogFormatError,
     MobilityScenario,
+    Not,
+    NotVisible,
+    Or,
     ProximityLog,
     ProximityTrack,
+    Rule,
+    TimeCompare,
+    TimeWithin,
     canonical_id,
     comparable,
     density_clusters,
     groups,
+    in_group_of,
+    looks_like_hw_addr,
 )
 from convoylog.trajectories import Point, TrajectoryDb
 
@@ -402,6 +417,81 @@ def reference_walk(
                 break
     walk.survivors = list(cands)
     return walk
+
+
+def _reference_levels(network: str, env: EnvironmentSnapshot) -> list[int]:
+    """RSSI values of the observations a network reference matches, the
+    reference's form worked out at each call."""
+    if looks_like_hw_addr(network):
+        level = env.rssi(network)
+        return [] if level is None else [level]
+    return [o.rssi for o in env.observations if o.ssid == network]
+
+
+def reference_previous_visit(ctx: EvalContext) -> bool:
+    """Whether a visible access point was seen on an earlier visit, the
+    visit's start found by stepping back one sample at a time."""
+    current_ids = ctx.current.bssids
+    if not current_ids or ctx.device not in ctx.log:
+        return False
+    samples = ctx.log.track(ctx.device).samples
+    i = bisect_right(samples, ctx.now, key=lambda fp: fp.t) - 1
+    edge = ctx.now
+    while i >= 0 and edge - samples[i].t <= ctx.session_gap:
+        edge = samples[i].t
+        i -= 1
+    return any(o.bssid in current_ids for fp in samples[: i + 1] for o in fp.env.observations)
+
+
+def reference_eval_predicate(p, ctx: EvalContext) -> bool:
+    """eval_predicate as a chain of isinstance tests that works everything
+    out at every node and shares nothing: a network reference's form at each
+    use, the visit check by reference_previous_visit, and each IN_GROUP_OF by
+    a group scan of its own lookback."""
+    if isinstance(p, And):
+        return reference_eval_predicate(p.left, ctx) and reference_eval_predicate(p.right, ctx)
+    if isinstance(p, Or):
+        return reference_eval_predicate(p.left, ctx) or reference_eval_predicate(p.right, ctx)
+    if isinstance(p, Not):
+        return not reference_eval_predicate(p.operand, ctx)
+    if isinstance(p, IsVisible):
+        return bool(_reference_levels(p.network, ctx.current))
+    if isinstance(p, NotVisible):
+        return not _reference_levels(p.network, ctx.current)
+    if isinstance(p, CloseThan):
+        near = _reference_levels(p.near, ctx.current)
+        if not near:
+            return False
+        far = _reference_levels(p.far, ctx.current)
+        return not far or max(near) > max(far)
+    if isinstance(p, FirstVisit):
+        return not reference_previous_visit(ctx)
+    if isinstance(p, FollowUpVisit):
+        return reference_previous_visit(ctx)
+    if isinstance(p, TimeWithin):
+        tod = ctx.minutes_of_day()
+        if p.start <= p.end:
+            return p.start <= tod < p.end
+        return tod >= p.start or tod < p.end
+    if isinstance(p, TimeCompare):
+        tod = ctx.minutes_of_day()
+        return {
+            "<": tod < p.minutes,
+            "<=": tod <= p.minutes,
+            "=": tod == p.minutes,
+            ">=": tod >= p.minutes,
+            ">": tod > p.minutes,
+        }[p.relation]
+    if isinstance(p, InGroupOf):
+        config = ctx.config
+        params = GroupQueryParams(config.delta, config.omega, float(p.t), p.n, config.min_steps)
+        return len(ctx.current) > 0 and in_group_of(ctx.log, ctx.device, ctx.now, ctx.current, params)
+    raise TypeError(f"not a predicate: {p!r}")
+
+
+def reference_eval_rules(rules: Sequence[Rule], ctx: EvalContext) -> list[tuple[str, str]]:
+    """eval_rules through reference_eval_predicate."""
+    return [(r.rule_id, r.content) for r in rules if reference_eval_predicate(r.condition, ctx)]
 
 
 def rebuild_without(log: ProximityLog, device: str, index: int) -> ProximityLog:

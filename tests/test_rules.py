@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 import random
 
 import pytest
@@ -32,12 +33,39 @@ from convoylog import (
     parse_rules,
     write_log_jsonl,
 )
-from convoylog import ApObservation, Fingerprint, GroupQueryParams, groups
+from convoylog import ApObservation, Fingerprint, groups
 from convoylog import rules as rule_engine
-from helpers import AP_POOL, DEVICE_POOL, put, random_snapshot, snapshot
+from helpers import (
+    AP_POOL,
+    DEVICE_POOL,
+    put,
+    random_snapshot,
+    reference_eval_predicate,
+    reference_eval_rules,
+    snapshot,
+)
 
 X = "0a:00:00:00:00:01"
 Y = "0a:00:00:00:00:02"
+
+
+# Field values of every kind, valid or not, for the terms' constructors.
+_network_values = st.one_of(st.text(max_size=8), st.sampled_from(["0A-00-00-00-00-05", "x"]), st.integers(), st.none())
+_minutes_values = st.one_of(st.integers(-2, 1441), st.integers(), st.booleans(), st.floats())
+_UNWRITABLE_TERMS = [
+    (TimeCompare, ("!=", 5)),
+    (TimeCompare, ("<", 5000)),
+    (TimeCompare, ("<", 1440)),
+    (TimeCompare, ("<", -1)),
+    (TimeCompare, ("<", True)),
+    (TimeCompare, ("<", 5.0)),
+    (TimeWithin, (-5, 99999)),
+    (TimeWithin, (0, 1440)),
+    (TimeWithin, (False, 60)),
+    (IsVisible, (5,)),
+    (NotVisible, (None,)),
+    (CloseThan, ("a", b"b")),
+]
 
 
 class TestParse:
@@ -149,6 +177,34 @@ class TestParse:
         rules = (Rule("r", term, "x"),)
         assert parse_rules(format_rules(rules)) == rules
 
+    @pytest.mark.parametrize("term", _UNWRITABLE_TERMS, ids=[f"{cls.__name__}{values!r}" for cls, values in _UNWRITABLE_TERMS])
+    def test_terms_reject_fields_their_text_cannot_carry(self, term):
+        # TimeCompare('!=', 5) made evaluation raise KeyError and printed
+        # as TIME() != '00:05'; 5000 minutes printed as '83:20'; IsVisible(5)
+        # made evaluation raise AttributeError
+        cls, values = term
+        with pytest.raises(ValueError):
+            cls(*values)
+
+    @given(
+        term=st.one_of(
+            st.tuples(st.sampled_from([IsVisible, NotVisible]), _network_values),
+            st.tuples(st.just(CloseThan), _network_values, _network_values),
+            st.tuples(st.just(TimeWithin), _minutes_values, _minutes_values),
+            st.tuples(st.just(TimeCompare), st.sampled_from([*rule_engine.RELATIONS, "!=", "==", "=<"]), _minutes_values),
+        )
+    )
+    def test_constructed_terms_print_as_text_that_parses_back(self, term):
+        cls, *values = term
+        try:
+            p = cls(*values)
+        except ValueError:
+            return
+        rules = (Rule("r", p, "x"),)
+        assert parse_rules(format_rules(rules)) == rules
+        ctx = make_ctx(EnvironmentSnapshot((named("a", -60, X),)), time_of_day=600)
+        assert eval_predicate(p, ctx) in (True, False)
+
     def test_oversized_integer_literals(self):
         # 5000 digits exceed the interpreter's int-parsing limit; a 400-digit
         # lookback parses as an int but overflows a float
@@ -215,8 +271,9 @@ class TestParse:
         leaves = set(rule_engine.Predicate.__subclasses__()) - {And, Or, Not, TimeCompare}
         classes = [cls for cls, _ in rule_engine._TERMS.values()]
         assert sorted(classes, key=repr) == sorted(leaves, key=repr)
+        # Fields settled at construction (init=False) are not written.
         for cls, args in rule_engine._TERMS.values():
-            assert len(args) == len(dataclasses.fields(cls)), cls
+            assert len(args) == len([f for f in dataclasses.fields(cls) if f.init]), cls
 
 
 VISIBLE_X = "IS_VISIBLE('x')"
@@ -453,6 +510,25 @@ class TestVisitHistory:
         assert eval_predicate(FollowUpVisit(), longer)
 
 
+    @pytest.mark.parametrize(
+        "earlier, now, session_gap, first",
+        [
+            # now - session_gap rounds down onto the earlier sample, which
+            # lies just over session_gap back
+            (1356998200.0, 1357000000.0, math.nextafter(1800.0, 0.0), False),
+            # now - session_gap rounds up past the earlier sample, which the
+            # gap test, rounding now - t down, puts in the current visit
+            (-41.51280093193056, 1356999999.9999995, 1357000041.5128005, True),
+        ],
+    )
+    def test_visit_start_where_now_minus_gap_rounds(self, earlier, now, session_gap, first):
+        log = ProximityLog()
+        put(log, "02:00:00:00:00:01", earlier, {X: -60})
+        ctx = make_ctx(snapshot({X: -59}), now=now, log=log, session_gap=session_gap)
+        assert eval_predicate(FirstVisit(), ctx) is first
+        assert eval_predicate(FirstVisit(), ctx) is reference_eval_predicate(FirstVisit(), ctx)
+
+
 class TestClock:
     def test_time_within_half_open(self):
         ctx = make_ctx(time_of_day=9 * 60)
@@ -496,6 +572,9 @@ class TestClock:
         for now in (float("nan"), float("inf"), float("-inf"), 10**400):
             with pytest.raises(ValueError):
                 make_ctx(now=now)
+        for bad in (dict(session_gap=True), dict(time_of_day=10.5), dict(time_of_day=True), dict(time_of_day=-1)):
+            with pytest.raises(ValueError):
+                make_ctx(**bad)
 
     def test_engine_config_validation(self):
         nan = float("nan")
@@ -581,22 +660,6 @@ class TestEvalRules:
         after = io.StringIO()
         write_log_jsonl(log, after)
         assert before.getvalue() == after.getvalue()
-
-
-def leafwise(p, ctx: EvalContext) -> bool:
-    """p evaluated with a fresh call per leaf, sharing nothing: a group scan
-    of the leaf's own lookback for IN_GROUP_OF, eval_predicate otherwise."""
-    if isinstance(p, And):
-        return leafwise(p.left, ctx) and leafwise(p.right, ctx)
-    if isinstance(p, Or):
-        return leafwise(p.left, ctx) or leafwise(p.right, ctx)
-    if isinstance(p, Not):
-        return not leafwise(p.operand, ctx)
-    if isinstance(p, InGroupOf):
-        config = ctx.config
-        params = GroupQueryParams(config.delta, config.omega, float(p.t), p.n, config.min_steps)
-        return len(ctx.current) > 0 and groups.in_group_of(ctx.log, ctx.device, ctx.now, ctx.current, params)
-    return eval_predicate(p, ctx)
 
 
 # Few lookbacks, so rulesets repeat them as well as mix them; IN_GROUP_OF
@@ -728,8 +791,7 @@ class TestSharing:
             time_of_day=0,
             config=EngineConfig(delta=0.5, omega=rng.choice([5.0, 10.0]), min_steps=rng.choice([1, 2])),
         )
-        expected = [(r.rule_id, r.content) for r in rules if leafwise(r.condition, ctx)]
-        assert eval_rules(rules, ctx) == expected
+        assert eval_rules(rules, ctx) == reference_eval_rules(rules, ctx)
 
     def test_one_walk_per_evaluation_and_one_visit_check(self, monkeypatch):
         devices = ["02:00:00:00:00:01", "02:00:00:00:00:02", "02:00:00:00:00:03"]
@@ -798,3 +860,122 @@ class TestComplements:
             a, b = rng.sample(["lobby", X, Y, "nope"], 2)
             both = eval_predicate(And(CloseThan(a, b), CloseThan(b, a)), ctx)
             assert not both
+
+
+# Network references: ssid text shared by several access points, and access
+# point addresses in the canonical and in other spellings.
+_references = st.sampled_from(["shop-0", "shop-1", "shop-2", "nowhere", AP_POOL[0], "0A-00-00-00-00-02", "0a00.0000.0003"])
+_oracle_leaves = st.one_of(
+    st.builds(IsVisible, _references),
+    st.builds(NotVisible, _references),
+    st.builds(CloseThan, _references, _references),
+    st.just(FirstVisit()),
+    st.just(FollowUpVisit()),
+    st.builds(TimeWithin, st.integers(0, 1439), st.integers(0, 1439)),
+    st.builds(TimeCompare, st.sampled_from(rule_engine.RELATIONS), st.integers(0, 1439)),
+    st.builds(InGroupOf, st.integers(1, 4), st.sampled_from([1, 10, 60, 600, 3600])),
+)
+_oracle_rulesets = st.lists(
+    st.recursive(
+        _oracle_leaves,
+        lambda kids: st.builds(And, kids, kids) | st.builds(Or, kids, kids) | st.builds(Not, kids),
+        max_leaves=6,
+    ),
+    min_size=1,
+    max_size=6,
+).map(lambda conditions: tuple(Rule(f"r{i}", c, f"c{i}") for i, c in enumerate(conditions)))
+
+_VISIT_RULES = (Rule("first", FirstVisit(), "f"), Rule("back", FollowUpVisit(), "b"))
+_SPACINGS = ("short", "below", "at", "above", "long")
+_EPOCH = 1357000000.0
+
+
+def _after(t: float, spacing: str, unit: float) -> float:
+    """The time spacing after t: a quarter of unit or three units, or one
+    unit exactly or to the float on either side of t + unit."""
+    if spacing == "short":
+        return t + unit / 4
+    if spacing == "long":
+        return t + 3 * unit
+    t += unit
+    return math.nextafter(t, {"below": -math.inf, "at": t, "above": math.inf}[spacing])
+
+
+def _view(rng: random.Random) -> EnvironmentSnapshot:
+    """A view that usually holds AP_POOL[0], so that most previous visits
+    overlap the current one; access point k carries ssid shop-<k mod 3>."""
+    picked = {b for b in rng.sample(AP_POOL, rng.randint(1, 3))}
+    if rng.random() < 0.8:
+        picked.add(AP_POOL[0])
+    return EnvironmentSnapshot(
+        tuple(ApObservation(b, rng.randint(-90, -30), f"shop-{AP_POOL.index(b) % 3}") for b in sorted(picked))
+    )
+
+
+class TestReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rules=_oracle_rulesets,
+        base=st.sampled_from([0.0, _EPOCH]),
+        unit=st.sampled_from([1800.0, 600.0, 25.0, 10.0, 5.0]),
+        gap_ulps=st.sampled_from([-1, 0, 1]),
+        spacings=st.lists(st.sampled_from(_SPACINGS), max_size=8),
+        pick=st.integers(0, 8),
+        now_spacing=st.sampled_from([None, *_SPACINGS]),
+        seed=st.integers(0, 2**32 - 1),
+        time_of_day=st.one_of(st.none(), st.integers(0, 1439)),
+        min_steps=st.sampled_from([1, 2]),
+    )
+    # The user's samples lie exactly session_gap apart, or one ulp of their
+    # time closer or farther, at epoch-scale times.
+    @example(rules=_VISIT_RULES, base=_EPOCH, unit=1800.0, gap_ulps=0, spacings=["at"], pick=1,
+             now_spacing=None, seed=0, time_of_day=None, min_steps=2)
+    @example(rules=_VISIT_RULES, base=_EPOCH, unit=1800.0, gap_ulps=0, spacings=["below"], pick=1,
+             now_spacing=None, seed=0, time_of_day=None, min_steps=2)
+    @example(rules=_VISIT_RULES, base=_EPOCH, unit=1800.0, gap_ulps=0, spacings=["above"], pick=1,
+             now_spacing=None, seed=0, time_of_day=None, min_steps=2)
+    # session_gap one ulp under and over a spacing of exactly 1800 s: now -
+    # session_gap rounds onto the earlier sample, which lies outside the
+    # visit under the first and inside it under the second.
+    @example(rules=_VISIT_RULES, base=_EPOCH, unit=1800.0, gap_ulps=-1, spacings=["at", "at"], pick=2,
+             now_spacing=None, seed=0, time_of_day=None, min_steps=2)
+    @example(rules=_VISIT_RULES, base=_EPOCH, unit=1800.0, gap_ulps=1, spacings=["at", "at"], pick=2,
+             now_spacing=None, seed=0, time_of_day=None, min_steps=2)
+    def test_answers_as_the_reference_does(
+        self, rules, base, unit, gap_ulps, spacings, pick, now_spacing, seed, time_of_day, min_steps
+    ):
+        """A user's history of visits split by spacings around session_gap,
+        and companions that copied its view for its last few samples."""
+        rng = random.Random(seed)
+        session_gap = unit
+        for _ in range(abs(gap_ulps)):
+            session_gap = math.nextafter(session_gap, gap_ulps * math.inf)
+        user = DEVICE_POOL[0]
+        times = [base]
+        for spacing in spacings:
+            times.append(_after(times[-1], spacing, unit))
+        views = [_view(rng) for _ in times]
+        log = ProximityLog()
+        for t, env in zip(times, views):
+            log.ingest(user, Fingerprint(t, env))
+        for device in DEVICE_POOL[1 : rng.randint(1, 4)]:
+            since = rng.randrange(len(times))
+            for k, (t, env) in enumerate(zip(times, views)):
+                log.ingest(device, Fingerprint(t - rng.uniform(0.0, 0.3), env if k >= since else _view(rng)))
+        k = pick % len(times)
+        if now_spacing is None:
+            now, current = times[k], views[k]
+        else:
+            now, current = _after(times[k], now_spacing, unit), _view(rng)
+        ctx = make_ctx(
+            current,
+            device=user,
+            now=now,
+            log=log,
+            session_gap=session_gap,
+            time_of_day=time_of_day,
+            config=EngineConfig(delta=0.5, omega=10.0, min_steps=min_steps),
+        )
+        assert eval_rules(rules, ctx) == reference_eval_rules(rules, ctx)
+        for r in rules:
+            assert eval_predicate(r.condition, ctx) == reference_eval_predicate(r.condition, ctx)

@@ -25,7 +25,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConvoylogError, LogFormatError
+from .errors import ConvoylogError, LogFormatError, finite
 from .groups import GroupQueryParams, discover_group
 from .jsonio import read_text, write_jsonl
 from .proximity import (
@@ -71,11 +71,11 @@ def _load_scenario(ref: str, seed: int | None) -> MobilityScenario:
     return scenario
 
 
-def _options(cls, **values):
-    """Build a parameter object from command-line values; a value it rejects
-    becomes a ConvoylogError, so the command reports it on one line."""
+def _options(check, **values):
+    """check(**values): a parameter object, or a checked value; a value it
+    rejects becomes a ConvoylogError, so the command reports it on one line."""
     try:
-        return cls(**values)
+        return check(**values)
     except ValueError as exc:
         raise ConvoylogError(str(exc)) from None
 
@@ -95,9 +95,10 @@ def _resolve_t0(log: ProximityLog, device: str, raw: str) -> float:
             raise ConvoylogError(f"device {device} has no samples")
         return last.t
     try:
-        return float(raw)
+        t0 = float(raw)
     except ValueError:
         raise ConvoylogError(f"t0 must be a number or 'latest', got {raw!r}") from None
+    return _options(finite, value=t0, name="t0")
 
 
 def _resolve_snapshot(log: ProximityLog, device: str, t0: float, delta: float) -> Fingerprint:

@@ -3,9 +3,20 @@
 Every domain error derives from ConvoylogError so callers (notably the CLI)
 can catch one base class and turn any rule, log, or scenario problem into a
 diagnostic instead of a traceback.
+
+This module alone decides which numbers are usable. A number is a real
+(numbers.Real: an int, a float, a Fraction) that is not a bool and fits a
+float. A coordinate or a time must also be finite (finite). A threshold
+must be positive, or non-negative where zero is allowed, and may be
+infinite (check_threshold). Whatever fails raises ValueError naming the
+value, or the ConvoylogError of a module whose inputs are data (a scenario,
+a log record), with the same message.
 """
 
 from __future__ import annotations
+
+from math import isfinite
+from numbers import Real
 
 
 class ConvoylogError(Exception):
@@ -62,14 +73,34 @@ class DuplicateRuleIdError(ConvoylogError):
     """Two rules in one ruleset share an identifier."""
 
 
+def _number(value: float, name: str, error: type[Exception] = ValueError) -> float:
+    """value as a float; error unless it is a number (module docstring)."""
+    # float and int first: the abstract Real check costs several times more.
+    if type(value) not in (float, int) and (isinstance(value, bool) or not isinstance(value, Real)):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} out of float range") from None
+
+
+def finite(value: float, name: str, error: type[Exception] = ValueError) -> float:
+    """value as a float, for a coordinate or a time: error, naming it, unless
+    it is a number (module docstring) and finite. A finite float comes back
+    as is. A module whose inputs are data passes its own ConvoylogError."""
+    x = value if type(value) is float else _number(value, name, error)
+    if not isfinite(x):
+        raise error(f"{name} must be finite, got {value!r}")
+    return x
+
+
 def check_threshold(value: float, name: str, *, zero_ok: bool = False) -> None:
-    """ValueError unless value is above 0, or at least 0 when zero_ok, and
-    not a bool (NaN fails both)."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if zero_ok and not value >= 0:
+    """ValueError unless value is a number (module docstring) above 0, or at
+    least 0 when zero_ok; infinity passes, NaN fails both."""
+    x = _number(value, name)
+    if zero_ok and not x >= 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
-    if not zero_ok and not value > 0:
+    if not zero_ok and not x > 0:
         raise ValueError(f"{name} must be positive, got {value}")
 
 

@@ -55,14 +55,8 @@ from dataclasses import dataclass
 # groups.comparable stays bound because perfbench/tracing.py wraps it by that
 # name; the walk tests snapshots through _matches.
 from .comparability import _matches, comparable
-from .errors import EmptyEnvironmentError, check_count, check_threshold
-from .proximity import (
-    DeviceId,
-    EnvironmentSnapshot,
-    ProximityLog,
-    canonical_id,
-    finite_time,
-)
+from .errors import EmptyEnvironmentError, check_count, check_threshold, finite
+from .proximity import DeviceId, EnvironmentSnapshot, ProximityLog, canonical_id
 
 
 def check_thresholds(delta: float, omega: float, min_steps: int) -> None:
@@ -267,15 +261,15 @@ def discover_group(
 ) -> GroupResult:
     """Backward scan for devices that shared the user's radio environment.
 
-    t0 is the query time, which must be finite (ValueError otherwise), and
-    e0 the user's snapshot at that time; e0 must be non-empty
+    t0 is the query time, which errors.finite must take (ValueError
+    otherwise), and e0 the user's snapshot at that time; e0 must be non-empty
     (EmptyEnvironmentError otherwise) since an empty snapshot is comparable
     with nothing. A logged sample used as e0 must be queried at its own
     time, or the walk counts it again as a history step.
     """
     if len(e0) == 0:
         raise EmptyEnvironmentError("query snapshot has no visible networks")
-    t0 = finite_time(t0, "t0")
+    t0 = finite(t0, "t0")
     horizon = t0 - params.t_max
     walk = _walk(log, canonical_id(user), t0, e0, params.delta, params.omega, horizon)
     return GroupResult(

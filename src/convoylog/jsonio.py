@@ -17,13 +17,12 @@ alternating in-process pairs, 2-core Xeon VM, Python 3.11.7).
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Callable, Iterable, Mapping
 from contextlib import nullcontext
 from pathlib import Path
 from typing import IO, Any, ContextManager
 
-from .errors import ConvoylogError, LogFormatError
+from .errors import ConvoylogError, LogFormatError, finite
 
 
 def opened(file: str | Path | IO, mode: str) -> ContextManager[IO]:
@@ -108,12 +107,5 @@ def require(obj: Mapping, key: str | int, kinds, where: str):
 
 
 def number(obj: Mapping, key: str | int, where: str) -> float:
-    """obj[key], which must be a JSON number, as a finite float."""
-    value = require(obj, key, (int, float), where)
-    try:
-        value = float(value)
-    except OverflowError:
-        raise LogFormatError(f"{where}: field {key!r} is out of float range") from None
-    if not math.isfinite(value):
-        raise LogFormatError(f"{where}: field {key!r} must be finite")
-    return value
+    """obj[key], which must be a JSON number, as a float that errors.finite takes."""
+    return finite(require(obj, key, (int, float), where), f"{where}: field {key!r}", LogFormatError)

@@ -52,7 +52,6 @@ while the dict is half read.
 
 from __future__ import annotations
 
-import math
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Mapping
@@ -65,6 +64,8 @@ from .errors import (
     LogFormatError,
     NonMonotoneTimestampError,
     UnknownDeviceError,
+    check_threshold,
+    finite,
 )
 from .jsonio import read_jsonl, require, write_jsonl
 
@@ -78,17 +79,6 @@ _SEPARATORS = str.maketrans("", "", ":-.")
 def looks_like_hw_addr(value: str) -> bool:
     """True when value is 12 hex digits, ignoring :, - and . separators."""
     return bool(_HW_ADDR.match(value.strip().lower().translate(_SEPARATORS)))
-
-
-def finite_time(value: float, name: str) -> float:
-    """value as a finite float; ValueError naming it otherwise."""
-    try:
-        t = float(value)
-    except OverflowError:
-        raise ValueError(f"{name} out of float range") from None
-    if not math.isfinite(t):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return t
 
 
 def canonical_id(value: str) -> str:
@@ -168,13 +158,14 @@ class EnvironmentSnapshot:
 
 @dataclass(frozen=True, slots=True)
 class Fingerprint:
-    """A snapshot stamped with the time it was taken."""
+    """A snapshot stamped with the time it was taken, t, a float that
+    errors.finite takes (ValueError otherwise)."""
 
     t: float
     env: EnvironmentSnapshot
 
     def __post_init__(self):
-        object.__setattr__(self, "t", finite_time(self.t, "timestamp"))
+        object.__setattr__(self, "t", finite(self.t, "timestamp"))
 
 
 class ProximityTrack:
@@ -221,8 +212,8 @@ class ProximityTrack:
         Ties between an earlier and a later sample at equal distance go to
         the earlier one. None when the window holds no sample.
         """
-        if not delta >= 0:
-            raise ValueError(f"delta must be non-negative, got {delta}")
+        t = finite(t, "t")
+        check_threshold(delta, "delta", zero_ok=True)
         times = self._times
         if not times:
             return None

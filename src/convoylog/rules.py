@@ -72,7 +72,7 @@ from operator import attrgetter, eq, ge, gt, le, lt
 from typing import Any, NamedTuple
 
 from . import groups
-from .errors import DuplicateRuleIdError, RuleSyntaxError, check_count, check_threshold
+from .errors import DuplicateRuleIdError, RuleSyntaxError, check_count, check_threshold, finite
 # rules.in_group_of stays bound because perfbench/tracing.py wraps it by that
 # name. Evaluation calls groups._walk through the module instead, to share one
 # walk between all its lookbacks.
@@ -82,7 +82,6 @@ from .proximity import (
     EnvironmentSnapshot,
     ProximityLog,
     canonical_id,
-    finite_time,
     looks_like_hw_addr,
 )
 
@@ -216,10 +215,7 @@ class InGroupOf(Predicate):
         for name in ("n", "t"):
             value = getattr(self, name)
             check_count(value, name)
-            try:
-                float(value)
-            except OverflowError:
-                raise ValueError(f"{name} is out of float range") from None
+            finite(value, name)
         object.__setattr__(self, "_lookback", self.t)
 
 
@@ -594,9 +590,10 @@ class EvalContext:
     """Everything a condition may look at for one device at one moment.
 
     current is the device's radio view at now (the live snapshot or the
-    logged sample); log carries its history. now must be finite. time_of_day,
-    in minutes since midnight, is derived from now unless set explicitly
-    (set it when `now` is not epoch-based).
+    logged sample); log carries its history. now is a time and session_gap a
+    threshold (errors module; ValueError otherwise). time_of_day, in minutes
+    since midnight, is derived from now unless set explicitly (set it when
+    `now` is not epoch-based).
     """
 
     device: DeviceId
@@ -609,7 +606,7 @@ class EvalContext:
 
     def __post_init__(self):
         object.__setattr__(self, "device", canonical_id(self.device))
-        object.__setattr__(self, "now", finite_time(self.now, "now"))
+        object.__setattr__(self, "now", finite(self.now, "now"))
         check_threshold(self.session_gap, "session_gap")
         if self.time_of_day is not None:
             _check_minutes(self.time_of_day, "time_of_day")

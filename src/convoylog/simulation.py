@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
-from .errors import InvalidScenarioError, LogFormatError
+from .errors import InvalidScenarioError, LogFormatError, finite
 from .jsonio import loads, number, opened, read_jsonl, read_text, require, write_jsonl
 from .proximity import (
     DeviceId,
@@ -73,6 +73,9 @@ REFERENCE_DISTANCE_M = 1.0
 # 1e-300 is then an error, not a loop that never ends.
 MAX_SAMPLES = 1_000_000
 
+# errors.finite, failing as an InvalidScenarioError.
+_finite = functools.partial(finite, error=InvalidScenarioError)
+
 
 @dataclass(frozen=True)
 class ApNode:
@@ -90,10 +93,9 @@ class ApNode:
             raise InvalidScenarioError(f"ap {self.bssid}: ssid must be a string")
         position = _finite_points((self.position,), f"ap {self.bssid}: position")[0]
         object.__setattr__(self, "position", position)
-        if not -math.inf < self.detection_floor_dbm < self.tx_power_dbm < math.inf:
-            raise InvalidScenarioError(
-                f"ap {self.bssid}: detection floor must sit below tx power, both finite"
-            )
+        floor = _finite(self.detection_floor_dbm, f"ap {self.bssid}: detection floor")
+        if not floor < _finite(self.tx_power_dbm, f"ap {self.bssid}: tx power"):
+            raise InvalidScenarioError(f"ap {self.bssid}: detection floor must sit below tx power")
 
 
 @dataclass(frozen=True)
@@ -105,17 +107,18 @@ class RadioModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.path_loss_exponent < math.inf:
+        if not _finite(self.path_loss_exponent, "path_loss_exponent") > 0:
             raise InvalidScenarioError("path_loss_exponent must be positive and finite")
-        if not 0 <= self.noise_sigma_db < math.inf:
+        if not _finite(self.noise_sigma_db, "noise_sigma_db") >= 0:
             raise InvalidScenarioError("noise_sigma_db must be non-negative and finite")
 
 
 def _finite_points(points: Iterable, what: str) -> tuple[Point, ...]:
-    """points as Points; InvalidScenarioError unless every coordinate is finite."""
+    """points as Points, coordinates as given; InvalidScenarioError unless finite."""
     pts = tuple(Point(*p) for p in points)
-    if not all(-math.inf < c < math.inf for p in pts for c in p):
-        raise InvalidScenarioError(f"{what} coordinates must be finite")
+    for p in pts:
+        for c in p:
+            _finite(c, f"{what} coordinates")
     return pts
 
 
@@ -133,12 +136,12 @@ class WaypointPath:
         object.__setattr__(self, "waypoints", pts)
         if not pts:
             raise InvalidScenarioError("path needs at least one waypoint")
-        if not 0 < self.speed < math.inf:
+        if not _finite(self.speed, "speed") > 0:
             raise InvalidScenarioError(f"speed must be positive and finite, got {self.speed}")
         object.__setattr__(self, "legs", tuple(a.distance_to(b) for a, b in zip(pts, pts[1:])))
 
     def position_at(self, t: float) -> Point:
-        if not t >= 0:
+        if not finite(t, "time") >= 0:
             raise ValueError(f"time must be non-negative, got {t}")
         remaining = self.speed * t
         for i, leg in enumerate(self.legs):
@@ -154,8 +157,8 @@ class WaypointPath:
 
 def path_through(waypoints: Iterable[tuple[float, float]], travel_time: float) -> WaypointPath:
     """A path covering the given waypoints in exactly travel_time seconds."""
-    pts = tuple(Point(*p) for p in waypoints)
-    if travel_time <= 0:
+    pts = _finite_points(waypoints, "waypoint")
+    if not _finite(travel_time, "travel_time") > 0:
         raise InvalidScenarioError("travel_time must be positive")
     length = sum(a.distance_to(b) for a, b in zip(pts, pts[1:]))
     if length <= 0:
@@ -216,11 +219,11 @@ class MobilityScenario:
     dropout_rate: float = 0.0
 
     def validate(self) -> None:
-        if not 0 < self.sample_interval < math.inf:
+        if not _finite(self.sample_interval, "sample_interval") > 0:
             raise InvalidScenarioError("sample_interval must be positive and finite")
-        if not 0 <= self.duration < math.inf:
+        if not _finite(self.duration, "duration") >= 0:
             raise InvalidScenarioError("duration must be non-negative and finite")
-        if not 0.0 <= self.dropout_rate < 1.0:
+        if not 0.0 <= _finite(self.dropout_rate, "dropout_rate") < 1.0:
             raise InvalidScenarioError("dropout_rate must be in [0, 1)")
         riders = sum(len(g.members) for g in self.groups) + len(self.loners)
         if (self.duration / self.sample_interval + 1) * max(riders, 1) > MAX_SAMPLES:
@@ -379,12 +382,10 @@ def rssi_at(
 
     Noise is drawn from rng (the module-level generator when omitted), so
     pass the scenario generator for reproducible traces; with noise, each
-    call makes exactly one rng.gauss call, heard or not. A coordinate that is
-    not finite raises ValueError.
+    call makes exactly one rng.gauss call, heard or not. Each coordinate of
+    pos must be finite as the errors module defines it, or ValueError.
     """
-    x, y = pos
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"position must be finite, got {tuple(pos)}")
+    x, y = finite(pos[0], "position"), finite(pos[1], "position")
     gauss = (rng if rng is not None else random).gauss
     noise = functools.partial(gauss, 0.0, model.noise_sigma_db)
     heard = _receiver((ap,), model, noise, noise)(x, y)

@@ -116,7 +116,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
-from .errors import NonMonotoneTimestampError, UnknownDeviceError, check_count, check_threshold
+from .errors import NonMonotoneTimestampError, UnknownDeviceError, check_count, check_threshold, finite
 from .jsonio import read_jsonl, require, write_jsonl
 
 ObjectId = str
@@ -133,13 +133,8 @@ class Point(NamedTuple):
 
 
 def _coordinates(p: Point) -> tuple[float, float]:
-    try:
-        x, y = float(p[0]), float(p[1])
-    except OverflowError:
-        raise ValueError("coordinates out of float range") from None
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"coordinates must be finite, got {Point(x, y)}")
-    return x, y
+    """p's coordinates as floats; ValueError unless errors.finite takes both."""
+    return finite(p[0], "coordinates"), finite(p[1], "coordinates")
 
 
 @dataclass(frozen=True)
@@ -263,9 +258,9 @@ def density_clusters(
     """Cluster labeled points by density; noise objects are omitted.
 
     Deterministic: clusters come out ordered by their smallest-id core, and
-    contested edge objects always land in the earlier cluster. Raises
-    ValueError for an e that is a bool, not positive or NaN, for an m that
-    is not an int of at least 1, and for a non-finite coordinate.
+    contested edge objects always land in the earlier cluster. ValueError
+    unless e is a threshold and each coordinate finite (errors module) and
+    m an int of at least 1.
     """
     check_threshold(e, "e")
     check_count(m, "m")
@@ -276,9 +271,7 @@ def density_clusters(
     for obj, p in items:
         if ids and obj == ids[-1]:
             raise ValueError(f"duplicate object id {obj!r}")
-        x, y = p
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"coordinates must be finite, got {p}")
+        x, y = _coordinates(p)
         ids.append(obj)
         xs.append(x)
         ys.append(y)

@@ -507,3 +507,20 @@ def test_blank_device_is_one_error_line(tmp_path, command, device):
     )
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: --device: identifier must be non-empty"], proc.stderr
+
+
+@pytest.mark.parametrize(
+    "t0, shown", [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("1e400", "inf")]
+)
+@pytest.mark.parametrize("command", ["query-group", "eval-rules"])
+def test_non_finite_t0_is_one_error_line(tmp_path, capsys, command, t0, shown):
+    log = tmp_path / "log.jsonl"
+    write_example_log(log)
+    rules = tmp_path / "rules.txt"
+    rules.write_text("RULE r: IF IN_GROUP_OF(2, 20) THEN 'hi'\n")
+    argv = {
+        "query-group": ["query-group", "--log", str(log), "--device", A],
+        "eval-rules": ["eval-rules", "--log", str(log), "--rules", str(rules), "--device", A],
+    }[command]
+    # --t0=VALUE, so that argparse reads -inf as a value, not an option
+    assert run(capsys, *argv, f"--t0={t0}") == (1, "", f"error: t0 must be finite, got {shown}\n")

@@ -1,11 +1,12 @@
 """The installed package imports nothing outside the standard library,
-decodes JSON in one place, keeps the proximity log's layout to two readers,
-and exports what its __init__ imports.
+decodes JSON in one place, decides finiteness in one place, keeps the
+proximity log's layout to two readers, and exports what its __init__ imports.
 
 pyproject.toml declares no runtime dependencies; this keeps that true of the
 code. Relative imports stay inside the package and are not checked. Every
 reader decodes through jsonio.loads, so all of them share its fast path and
-its mapping of decoder errors to LogFormatError. Only proximity.py and the
+its mapping of decoder errors to LogFormatError. Every module asks errors.py
+whether a coordinate, a time or a threshold is usable. Only proximity.py and the
 group walk in groups.py read a log's _tracks or a track's _times and
 _samples, as the ProximityTrack docstring says. A name moved out of the
 package must leave __all__ with its import, and no name is exported twice.
@@ -58,6 +59,36 @@ def test_only_jsonio_calls_the_json_decoder(path):
         elif isinstance(node, ast.ImportFrom) and node.module == "json" and node.level == 0:
             found += [f"from json import {a.name} on line {node.lineno}" for a in node.names if a.name in JSON_DECODERS]
     assert not found, f"{path.name} decodes JSON itself: {found}"
+
+
+FINITENESS = {"isfinite", "isinf", "isnan"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_errors_decides_finiteness(path):
+    if path.name == "errors.py":
+        return
+    tree = ast.parse(path.read_text(), filename=str(path))
+    from_math = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "math" and node.level == 0
+        for alias in node.names
+    }
+
+    def math_name(node):
+        """The math attribute node names, as math.x or as x from math, or None."""
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "math":
+            return node.attr
+        return from_math.get(node.id) if isinstance(node, ast.Name) else None
+
+    found = []
+    for node in ast.walk(tree):
+        if math_name(node) in FINITENESS:
+            found.append(f"math.{math_name(node)} on line {node.lineno}")
+        elif isinstance(node, ast.Compare) and any(math_name(n) == "inf" for n in ast.walk(node)):
+            found.append(f"a comparison with math.inf on line {node.lineno}")
+    assert not found, f"{path.name} decides finiteness itself: {found}"
 
 
 LOG_LAYOUT = {"_tracks", "_times", "_samples"}

@@ -391,8 +391,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _t0_joined(argv: list[str]) -> list[str]:
+    """argv with "--t0 VALUE" as "--t0=VALUE" unless VALUE starts with "--":
+    argparse would read a VALUE such as -inf as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--t0" and not arg.startswith("--"):
+            arg = out.pop() + "=" + arg
+        out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_t0_joined(sys.argv[1:] if argv is None else argv))
     try:
         status = args.func(args)
         # Flushed here, so that a reader gone before the last write is met

@@ -61,7 +61,7 @@ from .proximity import (
     EnvironmentSnapshot,
     Fingerprint,
     ProximityLog,
-    _shared_observations,
+    _observation,
     canonical_id,
 )
 from .trajectories import Point, TrajectoryDb
@@ -252,12 +252,17 @@ class MobilityScenario:
 @dataclass(frozen=True)
 class GroundTruthRecord:
     """Planted label for one device: its group (None for loners) and the
-    interval, in seconds, over which the plant holds."""
+    interval, in seconds, as floats that errors.finite takes (ValueError
+    otherwise), so that every record can be written and read back."""
 
     device: DeviceId
     group: str | None
     t_start: float
     t_end: float
+
+    def __post_init__(self):
+        for name in ("t_start", "t_end"):
+            object.__setattr__(self, name, finite(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -398,8 +403,7 @@ def simulate(scenario: MobilityScenario) -> SimulationResult:
     Trajectory samples land on grid timestamps 0..steps-1; the fingerprint
     for grid timestamp i carries t = i * sample_interval seconds, so the two
     views of one sample are index-aligned. Equal readings (bssid, rounded
-    level, ssid) share one ApObservation across the whole result; the table
-    that finds them lives only for this call.
+    level, ssid) share one ApObservation (proximity._observation).
     """
     scenario.validate()
     rng = random.Random(scenario.radio.seed)
@@ -416,7 +420,6 @@ def simulate(scenario: MobilityScenario) -> SimulationResult:
 
     trajectories = TrajectoryDb()
     log = ProximityLog()
-    observation = _shared_observations()
     for i in range(steps):
         t = i * dt
         for path, _, riders in walkers:
@@ -427,7 +430,7 @@ def simulate(scenario: MobilityScenario) -> SimulationResult:
                 pos = p if off is None else Point(p.x + off.x, p.y + off.y)
                 trajectories.add(device, i, pos)
                 observations = tuple(
-                    [observation(ap.bssid, round(level), ap.ssid) for ap, level in heard_at(*pos)]
+                    [_observation(ap.bssid, round(level), ap.ssid) for ap, level in heard_at(*pos)]
                 )
                 log.ingest(device, Fingerprint(t=t, env=EnvironmentSnapshot(observations)))
 

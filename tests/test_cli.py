@@ -522,5 +522,6 @@ def test_non_finite_t0_is_one_error_line(tmp_path, capsys, command, t0, shown):
         "query-group": ["query-group", "--log", str(log), "--device", A],
         "eval-rules": ["eval-rules", "--log", str(log), "--rules", str(rules), "--device", A],
     }[command]
-    # --t0=VALUE, so that argparse reads -inf as a value, not an option
-    assert run(capsys, *argv, f"--t0={t0}") == (1, "", f"error: t0 must be finite, got {shown}\n")
+    expected = (1, "", f"error: t0 must be finite, got {shown}\n")
+    assert run(capsys, *argv, f"--t0={t0}") == expected
+    assert run(capsys, *argv, "--t0", t0) == expected

@@ -3,6 +3,8 @@ import io
 import json
 import random
 import re
+import sys
+import threading
 import types
 
 import pytest
@@ -24,7 +26,8 @@ from convoylog import (
     read_log_jsonl,
     write_log_jsonl,
 )
-from convoylog.proximity import fingerprint_from_json
+from convoylog.proximity import _READINGS, _observation, fingerprint_from_json
+from convoylog.simulation import corridor_scenario, simulate
 from helpers import (
     UNDECODABLE_LINES,
     jsonl_ending_with,
@@ -494,24 +497,77 @@ class TestSharedObservations:
         assert a2[0] is not a1[0] and a2[0] == ApObservation(X, -51, "lobby")
         assert a2[1] is not a1[1] and a2[1] == ApObservation(Y, -60, "hall")
 
-    def test_nothing_is_shared_across_reads(self):
-        text = jsonl((A, 1.0, [ap(X, -50)]))
-        first, second = (read_log_jsonl(io.StringIO(text)).track(A).last() for _ in range(2))
-        assert first.env.observations[0] is not second.env.observations[0]
-        record = json.loads(text)
-        assert fingerprint_from_json(record)[1] is not fingerprint_from_json(record)[1]
+    def test_one_reading_is_one_object_across_decoders(self):
+        sample = simulate(corridor_scenario()).proximity.track("02:00:00:00:01:01").samples[0]
+        shared = sample.env.observations[0]
+        record = {"device": A, "t": 1.0, "aps": [ap(shared.bssid, shared.rssi, shared.ssid)]}
+        text = json.dumps(record) + "\n"
+        reads = [read_log_jsonl(io.StringIO(text)).track(A).last() for _ in range(2)]
+        alone = fingerprint_from_json(json.loads(text))[1]
+        assert all(fp.env.observations[0] is shared for fp in [*reads, alone])
 
+    def test_the_table_never_grows_past_its_bound(self):
+        # More distinct readings than the table keeps, some in another
+        # spelling of their bssid.
+        readings = [
+            (f"0A-00-00-00-{i >> 8:02X}-{i & 255:02X}" if i % 3 else f"0a:00:00:00:{i >> 8:02x}:{i & 255:02x}",
+             -30 - i % 60, f"net{i % 7}")
+            for i in range(_READINGS + 500)
+        ]
+        decoded = []
+        for i, (bssid, rssi, ssid) in enumerate(readings):
+            fp = fingerprint_from_json({"device": A, "t": float(i), "aps": [ap(bssid, rssi, ssid)]})[1]
+            decoded.append(fp.env.observations[0])
+            assert _observation.cache_info().currsize <= _READINGS
+        assert _observation.cache_info().maxsize == _READINGS
+        assert decoded == [ApObservation(*r) for r in readings]
+        # The first readings were dropped: decoded again they are new objects,
+        # equal to the first ones.
+        again = fingerprint_from_json({"device": A, "t": 0.0, "aps": [ap(*readings[0])]})[1]
+        assert again.env.observations[0] == decoded[0] and again.env.observations[0] is not decoded[0]
+
+    def test_threads_decoding_at_once_get_equal_readings(self):
+        # More readings than the table keeps, so the threads also race on
+        # evictions; a tiny switch interval makes them interleave often.
+        readings = [(f"0a:00:00:00:{i >> 8:02x}:{i & 255:02x}", -30 - i % 60, "net") for i in range(_READINGS + 500)]
+        results = [[] for _ in range(4)]
+
+        def decode(out):
+            for reading in readings:
+                fp = fingerprint_from_json({"device": A, "t": 1.0, "aps": [ap(*reading)]})[1]
+                out.append(fp.env.observations[0])
+
+        threads = [threading.Thread(target=decode, args=(out,)) for out in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = [ApObservation(*r) for r in readings]
+        assert all(out == expected for out in results)
+        assert _observation.cache_info().currsize <= _READINGS
+
+    @pytest.mark.parametrize("alone", [False, True], ids=["read", "alone"])
     @pytest.mark.parametrize("rssi", ["true", "1.5"])
-    def test_rssi_is_checked_before_an_earlier_equal_reading_is_found(self, rssi):
-        text = (
-            f'{{"device": "{A}", "t": 1.0, "aps": [{{"bssid": "{X}", "rssi": 1}}]}}\n'
-            f'{{"device": "{A}", "t": 2.0, "aps": [{{"bssid": "{X}", "rssi": {rssi}}}]}}\n'
-        )
-        with pytest.raises(LogFormatError) as err:
-            read_log_jsonl(io.StringIO(text))
-        assert err.value.line == 2
+    def test_rssi_is_checked_before_an_earlier_equal_reading_is_found(self, rssi, alone):
+        lines = [
+            f'{{"device": "{A}", "t": 1.0, "aps": [{{"bssid": "{X}", "rssi": 1}}]}}',
+            f'{{"device": "{A}", "t": 2.0, "aps": [{{"bssid": "{X}", "rssi": {rssi}}}]}}',
+        ]
         rejected = "field 'rssi' has wrong type" if rssi == "true" else f"rssi must be integer dBm, got {rssi}"
-        assert str(err.value) == f"line 2: ap: {rejected}"
+        with pytest.raises(LogFormatError) as err:
+            if alone:
+                for line in lines:
+                    fingerprint_from_json(json.loads(line))
+            else:
+                read_log_jsonl(io.StringIO("".join(line + "\n" for line in lines)))
+        line, prefix = (None, "") if alone else (2, "line 2: ")
+        assert (err.value.line, str(err.value)) == (line, f"{prefix}ap: {rejected}")
 
     @given(log_records())
     def test_shared_read_writes_what_decoding_each_record_alone_writes(self, lines):

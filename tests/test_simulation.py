@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -649,6 +650,20 @@ class TestSerialization:
         buf = io.StringIO()
         write_ground_truth_jsonl(records, buf)
         assert read_ground_truth_jsonl(io.StringIO(buf.getvalue())) == records
+
+    def test_every_record_can_be_written_and_read_back(self):
+        # A Fraction sample interval gives Fraction times, and an int time
+        # is read back as a float: both are stored as floats.
+        truth = simulate(dataclasses.replace(corridor_scenario(), sample_interval=Fraction(5))).ground_truth
+        records = (*truth, GroundTruthRecord("a", None, 0, 60))
+        assert all(type(r.t_start) is type(r.t_end) is float for r in records)
+        buf = io.StringIO()
+        write_ground_truth_jsonl(records, buf)
+        assert read_ground_truth_jsonl(io.StringIO(buf.getvalue())) == records
+        with pytest.raises(ValueError, match=r"^t_start must be finite, got nan$"):
+            GroundTruthRecord("a", None, math.nan, 1.0)
+        with pytest.raises(ValueError, match=r"^t_end must be a number, got '60'$"):
+            GroundTruthRecord("a", None, 0.0, "60")
 
     @pytest.mark.parametrize(
         "bad",

@@ -26,7 +26,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConvoylogError, LogFormatError, finite
-from .groups import GroupQueryParams, discover_group
+from .groups import GroupQueryParams, discover_group, in_group
 from .jsonio import read_text, write_jsonl
 from .proximity import (
     Fingerprint,
@@ -167,7 +167,6 @@ def cmd_query_group(args: argparse.Namespace) -> int:
     t0 = _resolve_t0(log, device, args.t0)
     e0 = _resolve_snapshot(log, device, t0, params.delta)
     result = discover_group(log, device, e0.t, e0.env, params)
-    verdict = len(result.members) + 1 >= params.n
     print(f"device: {device}")
     print(f"t0: {t0}")
     print(f"snapshot_t: {e0.t}")
@@ -176,7 +175,7 @@ def cmd_query_group(args: argparse.Namespace) -> int:
     print(f"steps_processed: {result.steps_processed}")
     print(f"oldest_step_time: {result.oldest_step_time}")
     print(f"n: {params.n}")
-    print(f"in_group_of: {'true' if verdict else 'false'}")
+    print(f"in_group_of: {'true' if in_group(len(result.members), params.n) else 'false'}")
     return 0
 
 
@@ -324,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--min-steps",
-            dest="min_steps",
             type=int,
             default=2,
             help="minimum processed history samples for a non-empty answer (default: %(default)s)",
@@ -353,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="group size threshold, device included (default: %(default)s)")
     group_flags(p)
     p.add_argument(
-        "--t-max", dest="t_max", type=float, default=600.0, help="lookback horizon in seconds (default: %(default)s)"
+        "--t-max", type=float, default=600.0, help="lookback horizon in seconds (default: %(default)s)"
     )
     p.set_defaults(func=cmd_query_group)
 
@@ -364,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", default="latest", help="evaluation time in seconds, or 'latest' (default)")
     p.add_argument(
         "--session-gap",
-        dest="session_gap",
         type=float,
         default=1800.0,
         help="visit boundary gap in seconds (default: %(default)s)",
@@ -383,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="group size threshold (default: %(default)s)")
     group_flags(p, delta_default=None)
     p.add_argument(
-        "--t-max", dest="t_max", type=float, default=None, help="lookback horizon in seconds (default: scenario duration)"
+        "--t-max", type=float, default=None, help="lookback horizon in seconds (default: scenario duration)"
     )
     convoy_flags(p)
     p.set_defaults(func=cmd_compare)
@@ -391,20 +388,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _t0_joined(argv: list[str]) -> list[str]:
-    """argv with "--t0 VALUE" as "--t0=VALUE" unless VALUE starts with "--":
-    argparse would read a VALUE such as -inf as an option."""
-    out: list[str] = []
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed, with "--opt VALUE" read as "--opt=VALUE" for every option that
+    takes a value unless VALUE starts with "--", so argparse takes no -inf for an
+    option; an option handed no text ([] for "--opt=--") is a ConvoylogError."""
+    parser = build_parser()
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    takes_value = {s: a for p in commands.values() for a in p._actions if a.nargs != 0 for s in a.option_strings}
+    joined: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--t0" and not arg.startswith("--"):
-            arg = out.pop() + "=" + arg
-        out.append(arg)
-    return out
+        if joined and joined[-1] in takes_value and "--" not in joined and not arg.startswith("--"):
+            arg = joined.pop() + "=" + arg
+        joined.append(arg)
+    args = parser.parse_args(joined)
+    for option, action in takes_value.items():
+        if isinstance(getattr(args, action.dest, None), list):
+            raise ConvoylogError(f"{option}: expected a value")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(_t0_joined(sys.argv[1:] if argv is None else argv))
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
         status = args.func(args)
         # Flushed here, so that a reader gone before the last write is met
         # below and not at interpreter exit.

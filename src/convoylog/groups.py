@@ -291,5 +291,10 @@ def in_group_of(
     The querying device counts towards the group size, so n=1 is trivially
     true whenever the query itself is well-formed.
     """
-    result = discover_group(log, user, t0, e0, params)
-    return len(result.members) + 1 >= params.n
+    return in_group(len(discover_group(log, user, t0, e0, params).members), params.n)
+
+
+def in_group(companions: int, n: int) -> bool:
+    """The group verdict: a device with this many companions moved in a group
+    of at least n devices, since the device itself counts towards n."""
+    return companions + 1 >= n

@@ -93,11 +93,14 @@ def canonical_id(value: str) -> str:
 
     A str already in that canonical address form is returned as is, the same
     object, after one fullmatch; only other input pays for the normalization.
+    A value that is not a str, or is blank, raises ValueError.
     """
     # type, not isinstance: anything else, str subclasses included, takes the
     # full path, so it fails or comes back as a plain str.
     if type(value) is str and _is_canonical_hw_addr(value):
         return value
+    if not isinstance(value, str):
+        raise ValueError(f"identifier must be a string, got {value!r}")
     v = value.strip().lower()
     if not v:
         raise ValueError("identifier must be non-empty")

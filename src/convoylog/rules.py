@@ -709,7 +709,7 @@ def _in_group_of(p: InGroupOf, ctx: EvalContext, shared: _Shared) -> bool:
         shared.walk = groups._walk(
             ctx.log, ctx.device, ctx.now, ctx.current, config.delta, config.omega, ctx.now - longest
         )
-    return shared.walk.count(ctx.now - p.t, config.min_steps) + 1 >= p.n
+    return groups.in_group(shared.walk.count(ctx.now - p.t, config.min_steps), p.n)
 
 
 # How each kind of node is evaluated. And, Or and Not evaluate their

@@ -94,8 +94,11 @@ class ApNode:
         position = _finite_points((self.position,), f"ap {self.bssid}: position")[0]
         object.__setattr__(self, "position", position)
         floor = _finite(self.detection_floor_dbm, f"ap {self.bssid}: detection floor")
-        if not floor < _finite(self.tx_power_dbm, f"ap {self.bssid}: tx power"):
+        tx = _finite(self.tx_power_dbm, f"ap {self.bssid}: tx power")
+        if not floor < tx:
             raise InvalidScenarioError(f"ap {self.bssid}: detection floor must sit below tx power")
+        object.__setattr__(self, "tx_power_dbm", tx)
+        object.__setattr__(self, "detection_floor_dbm", floor)
 
 
 @dataclass(frozen=True)
@@ -107,19 +110,23 @@ class RadioModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not _finite(self.path_loss_exponent, "path_loss_exponent") > 0:
+        exponent = _finite(self.path_loss_exponent, "path_loss_exponent")
+        if not exponent > 0:
             raise InvalidScenarioError("path_loss_exponent must be positive and finite")
-        if not _finite(self.noise_sigma_db, "noise_sigma_db") >= 0:
+        sigma = _finite(self.noise_sigma_db, "noise_sigma_db")
+        if not sigma >= 0:
             raise InvalidScenarioError("noise_sigma_db must be non-negative and finite")
+        # Written as a JSON integer, which like every number must fit a float.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise InvalidScenarioError(f"seed must be an integer, got {self.seed!r}")
+        _finite(self.seed, "seed")
+        object.__setattr__(self, "path_loss_exponent", exponent)
+        object.__setattr__(self, "noise_sigma_db", sigma)
 
 
 def _finite_points(points: Iterable, what: str) -> tuple[Point, ...]:
-    """points as Points, coordinates as given; InvalidScenarioError unless finite."""
-    pts = tuple(Point(*p) for p in points)
-    for p in pts:
-        for c in p:
-            _finite(c, f"{what} coordinates")
-    return pts
+    """points as Points of floats; InvalidScenarioError unless finite."""
+    return tuple(Point(*(_finite(c, f"{what} coordinates") for c in p)) for p in points)
 
 
 @dataclass(frozen=True)
@@ -136,8 +143,10 @@ class WaypointPath:
         object.__setattr__(self, "waypoints", pts)
         if not pts:
             raise InvalidScenarioError("path needs at least one waypoint")
-        if not _finite(self.speed, "speed") > 0:
+        speed = _finite(self.speed, "speed")
+        if not speed > 0:
             raise InvalidScenarioError(f"speed must be positive and finite, got {self.speed}")
+        object.__setattr__(self, "speed", speed)
         object.__setattr__(self, "legs", tuple(a.distance_to(b) for a, b in zip(pts, pts[1:])))
 
     def position_at(self, t: float) -> Point:
@@ -180,6 +189,8 @@ class GroupSpec:
     offsets: tuple[Point, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.group_id, str):
+            raise InvalidScenarioError(f"group id must be a string, got {self.group_id!r}")
         if not self.group_id:
             raise InvalidScenarioError("group id must be non-empty")
         members = tuple(canonical_id(d) for d in self.members)
@@ -218,12 +229,22 @@ class MobilityScenario:
     duration: float
     dropout_rate: float = 0.0
 
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise InvalidScenarioError(f"scenario name must be a string, got {self.name!r}")
+        for name in ("aps", "groups", "loners"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("sample_interval", "duration", "dropout_rate"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
+
     def validate(self) -> None:
-        if not _finite(self.sample_interval, "sample_interval") > 0:
+        """InvalidScenarioError unless the scenario can be simulated: its
+        numbers in range, its ids unique and its samples within MAX_SAMPLES."""
+        if not self.sample_interval > 0:
             raise InvalidScenarioError("sample_interval must be positive and finite")
-        if not _finite(self.duration, "duration") >= 0:
+        if not self.duration >= 0:
             raise InvalidScenarioError("duration must be non-negative and finite")
-        if not 0.0 <= _finite(self.dropout_rate, "dropout_rate") < 1.0:
+        if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidScenarioError("dropout_rate must be in [0, 1)")
         riders = sum(len(g.members) for g in self.groups) + len(self.loners)
         if (self.duration / self.sample_interval + 1) * max(riders, 1) > MAX_SAMPLES:

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import errno
 import io
 import json
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from convoylog import (
     ApObservation,
@@ -17,7 +21,7 @@ from convoylog import (
     write_log_jsonl,
     write_scenario,
 )
-from convoylog.cli import main
+from convoylog.cli import build_parser, main
 from helpers import UNDECODABLE_LINES, put
 
 X = "0a:00:00:00:00:01"
@@ -525,3 +529,157 @@ def test_non_finite_t0_is_one_error_line(tmp_path, capsys, command, t0, shown):
     expected = (1, "", f"error: t0 must be finite, got {shown}\n")
     assert run(capsys, *argv, f"--t0={t0}") == expected
     assert run(capsys, *argv, "--t0", t0) == expected
+
+
+def ends(argv: list[str]) -> tuple[int, str, str]:
+    """main(argv)'s exit status, standard output and standard error; an
+    argparse exit counts by the status it exits with."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_ends_as_a_command_may(code: int, err: str) -> None:
+    """Exit 0, exit 1 with exactly one error: line, or argparse's exit 2."""
+    if code == 1:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+    else:
+        assert code in (0, 2), (code, err)
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    """A directory with small input files under in/, made from
+    builtin:corridor's artifacts, plus one malformed file."""
+    root = tmp_path_factory.mktemp("cli")
+    inputs = root / "in"
+    assert main(["simulate", "builtin:corridor", "--out", str(inputs)]) == 0
+    write_scenario(corridor_scenario(), inputs / "scenario.json")
+    (inputs / "rules.txt").write_text(
+        "RULE g: IF IN_GROUP_OF(2, 30) THEN 'group'\n"
+        "RULE v: IF FIRST_VISIT() AND NOT IS_VISIBLE('nowhere') THEN 'hello'\n"
+    )
+    lines = (inputs / "proximity.jsonl").read_text().splitlines(keepends=True)
+    (inputs / "bad.jsonl").write_text("".join(lines[:3]) + lines[3][: len(lines[3]) // 2] + "\n")
+    return root
+
+
+# Python 3.10-3.12 hand an option written "--opt=--" the value [], where
+# 3.13 hands it the text "--".
+_bare = argparse.ArgumentParser()
+_bare.add_argument("--x")
+HANDS_NO_TEXT = _bare.parse_args(["--x=--"]).x == []
+
+D = "02:00:00:00:01:01"  # a device of builtin:corridor
+QUERY = ["query-group", "--log", "in/proximity.jsonl", "--device", D]
+EVAL = ["eval-rules", "--log", "in/proximity.jsonl", "--rules", "in/rules.txt", "--device", D]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*QUERY, "--t0=--"],
+        ["query-group", "--log", "in/proximity.jsonl", "--device=--"],
+        ["query-group", "--log=--", "--device", D],
+        ["eval-rules", "--log", "in/proximity.jsonl", "--rules=--", "--device", D],
+        ["simulate", "builtin:corridor", "--out=--"],
+        ["simulate", "builtin:corridor", "--out", "run", "--seed=--"],
+        ["compare", "builtin:corridor", "--seed=--"],
+    ],
+    ids=["t0", "device", "log", "rules", "simulate-out", "simulate-seed", "compare-seed"],
+)
+def test_option_without_text_is_one_error_line(cli_dir, monkeypatch, argv):
+    monkeypatch.chdir(cli_dir)
+    [option] = [arg[: -len("=--")] for arg in argv if arg.endswith("=--")]
+    code, out, err = ends(argv)
+    if HANDS_NO_TEXT:
+        assert (code, out, err) == (1, "", f"error: {option}: expected a value\n")
+    else:  # "--" is the option's text, which its own check takes or refuses
+        assert_ends_as_a_command_may(code, err)
+
+
+@pytest.mark.parametrize(
+    "argv, option, message",
+    [
+        (QUERY, "--omega", "omega must be positive, got -inf"),
+        (QUERY, "--delta", "delta must be non-negative, got -inf"),
+        (QUERY, "--t-max", "t_max must be positive, got -inf"),
+        (EVAL, "--session-gap", "session_gap must be positive, got -inf"),
+        (["convoy-baseline", "--trajectories", "in/trajectories.jsonl"], "--e", "e must be positive, got -inf"),
+    ],
+    ids=["omega", "delta", "t-max", "session-gap", "e"],
+)
+def test_negative_text_reaches_the_option_check(cli_dir, monkeypatch, argv, option, message):
+    monkeypatch.chdir(cli_dir)
+    expected = (1, "", f"error: {message}\n")
+    assert ends([*argv, f"{option}=-inf"]) == expected
+    assert ends([*argv, option, "-inf"]) == expected
+
+
+# The whole command line, drawn from each command's own parser: any of the
+# command's options and all of its positionals. Each value is usable two
+# times in three; otherwise it is from HOSTILE or, as often, argparse's own
+# "--".
+COMMANDS = next(a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+# A command line holds no NUL character, so none is drawn.
+HOSTILE = [
+    *("--", "-inf", "nan", "1e400", "", "-1", "-", "é", "-h", "--x"),
+    *("in/bad.jsonl", "in/missing.jsonl", "nobody"),
+]
+USABLE = {
+    "scenario": ["builtin:corridor", "builtin:fig4", "in/scenario.json"],
+    "inputs": ["in/proximity.jsonl"],
+    "out": ["out", "out/sub", "merged.jsonl"],
+    "log": ["in/proximity.jsonl"],
+    "rules": ["in/rules.txt"],
+    "trajectories": ["in/trajectories.jsonl"],
+    "device": ["02:00:00:00:01:01", "02-00-00-00-01-02", "03:00:00:00:00:01"],
+    "t0": ["latest", "60", "58.5"],
+    float: ["2.0", "0.5", "10", "0"],
+    int: ["1", "2", "3", "11"],
+}
+
+
+@st.composite
+def command_lines(draw) -> tuple[list[str], list[str]]:
+    """(argv, the same argv with every "--opt VALUE" before a bare "--" written
+    "--opt=VALUE" unless VALUE starts with "--")."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    pieces: list[tuple[list[str], list[str]]] = []
+    for action in COMMANDS[command]._actions:
+        if action.nargs == 0 or not (action.required or draw(st.booleans())):
+            continue
+        usable = USABLE[action.type if action.type in (float, int) else action.dest]
+        for _ in range(2 if action.nargs == "+" and draw(st.booleans()) else 1):
+            value = draw(st.sampled_from(draw(st.sampled_from([usable] * 4 + [HOSTILE, ["--"]]))))
+            if not action.option_strings:
+                pieces.append(([value], [value]))
+                continue
+            option = draw(st.sampled_from(action.option_strings))
+            drawn = draw(st.sampled_from([[option, value], [f"{option}={value}"]]))
+            pieces.append((drawn, drawn if value.startswith("--") else [f"{option}={value}"]))
+    argv, joined = [command], [command]
+    for drawn, written in draw(st.permutations(pieces)):
+        argv += drawn
+        joined += drawn if "--" in joined else written
+    return argv, joined
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=command_lines())
+@example(lines=(["query-group", "--log", "in/proximity.jsonl", "--device", "nobody", "--omega", "-inf"],
+                ["query-group", "--log", "in/proximity.jsonl", "--device", "nobody", "--omega=-inf"]))
+@example(lines=(["simulate", "builtin:corridor", "--out=--"],) * 2)
+def test_every_command_line_ends_in_one_of_three_ways(cli_dir, monkeypatch, lines):
+    """Exit 0, exit 1 with one error: line, or argparse's exit 2, never an
+    exception; and "--opt VALUE" ends as "--opt=VALUE" does."""
+    monkeypatch.chdir(cli_dir)
+    argv, joined = lines
+    code, out, err = ends(argv)
+    assert_ends_as_a_command_may(code, err)
+    assert ends(joined) == (code, out, err)

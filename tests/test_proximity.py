@@ -15,12 +15,15 @@ from convoylog import (
     ApObservation,
     DuplicateBssidError,
     EnvironmentSnapshot,
+    EvalContext,
     Fingerprint,
     LogFormatError,
+    LonerSpec,
     NonMonotoneTimestampError,
     ProximityLog,
     ProximityTrack,
     UnknownDeviceError,
+    WaypointPath,
     canonical_id,
     looks_like_hw_addr,
     read_log_jsonl,
@@ -49,7 +52,10 @@ NEAR_CANONICAL = r"\s?[0-9a-fA-F\u0661]{2}(?:[:.-]?[0-9a-fA-F]{2}){4,6}[:.-]?\s?
 
 def full_normalization(value):
     """canonical_id without its fast path: strip, lowercase, and rejoin the
-    hex digits of anything that reads as a hardware address."""
+    hex digits of anything that reads as a hardware address. A value that is
+    not a str fails as a blank one does."""
+    if not isinstance(value, str):
+        raise ValueError(f"identifier must be a string, got {value!r}")
     v = value.strip().lower()
     if not v:
         raise ValueError("identifier must be non-empty")
@@ -107,6 +113,21 @@ class TestCanonicalId:
             full_normalization(raw)
         with pytest.raises(expected.type):
             canonical_id(raw)
+
+    @pytest.mark.parametrize(
+        "take",
+        [
+            canonical_id,
+            lambda device: LonerSpec(device, WaypointPath(((0.0, 0.0),), 1.0)),
+            lambda device: EvalContext(device, 1.0, snapshot({X: -50}), ProximityLog()),
+            lambda device: ProximityLog().track(device),
+        ],
+        ids=["canonical_id", "LonerSpec", "EvalContext", "track"],
+    )
+    def test_non_str_id_is_a_value_error(self, take):
+        # Each of these raised AttributeError from str.strip.
+        with pytest.raises(ValueError, match=r"^identifier must be a string, got 5$"):
+            take(5)
 
     def test_looks_like_hw_addr(self):
         assert looks_like_hw_addr("aa:bb:cc:00:11:22")

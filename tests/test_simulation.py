@@ -1,12 +1,13 @@
 import dataclasses
 import io
+import itertools
 import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convoylog import (
@@ -194,6 +195,51 @@ def tiny_scenario(**overrides) -> MobilityScenario:
     )
     fields.update(overrides)
     return MobilityScenario(**fields)
+
+
+# A usable value for each field of a scenario's parts, as Python may hand
+# it: numbers as floats, ints (beyond 2**53 too) or Fractions.
+def _numbers(low, high):
+    return (
+        st.floats(low, high)
+        | st.integers(math.ceil(low), math.floor(high))
+        | st.fractions(Fraction(str(low)), Fraction(str(high)), max_denominator=1000)
+    )
+
+
+_COORDINATES = _numbers(-1e30, 1e30)
+SCENARIO_FIELDS = {
+    "name": st.text(max_size=4),
+    "ssid": st.text(max_size=4),
+    "seed": st.integers(),
+    "coordinate": _COORDINATES,
+    "speed": _numbers(1e-3, 1e3),
+    "tx_power_dbm": _numbers(-50, 0),
+    "detection_floor_dbm": _numbers(-120, -60),
+    "path_loss_exponent": _numbers(1e-3, 10),
+    "noise_sigma_db": _numbers(0, 10),
+    "sample_interval": _numbers(1, 100),
+    "duration": _numbers(0, 1000),
+    "dropout_rate": _numbers(0, 0.99),
+}
+# Usable ids (bssid, device, group_id), made distinct by a serial number k
+# so that most scenarios validate: any text, or a hardware address that
+# canonical_id rewrites.
+ID_FIELDS = ("bssid", "device", "group_id")
+
+
+def _ids(k: int):
+    return st.text(max_size=4).map(lambda text: f"{text}#{k}") | st.just(f"0A-00-00-00-00-{k:02X}")
+
+
+# Any value, of any field: wrong types, unusable numbers, usable ones.
+HOSTILE = st.one_of(
+    st.sampled_from([None, True, 1.5, "abc", b"g", ["g"], math.nan, math.inf, -1, 0, 10**400, Fraction(1, 3)]),
+    st.text(max_size=3),
+    st.integers(),
+    st.floats(),
+    st.fractions(),
+)
 
 
 class TestScenarioValidation:
@@ -570,6 +616,90 @@ class TestSerialization:
         path = tmp_path / "scenario.json"
         write_scenario(corridor_scenario(), path)
         assert read_scenario(path) == corridor_scenario()
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: RadioModel(seed=1.5), r"^seed must be an integer, got 1\.5$"),
+            (lambda: RadioModel(seed=True), r"^seed must be an integer, got True$"),
+            (lambda: RadioModel(seed="abc"), r"^seed must be an integer, got 'abc'$"),
+            (lambda: RadioModel(seed=10**400), r"^seed out of float range$"),
+            (lambda: tiny_scenario(name=5), r"^scenario name must be a string, got 5$"),
+            (lambda: GroupSpec(7, ("a",), WaypointPath(((0, 0),), 1.0)), r"^group id must be a string, got 7$"),
+        ],
+        ids=["fractional-seed", "bool-seed", "text-seed", "huge-seed", "numeric-name", "numeric-group-id"],
+    )
+    def test_part_that_could_not_be_read_back_is_not_built(self, build, message):
+        # Each of these was built and written, and read_scenario then
+        # rejected what was written.
+        with pytest.raises(InvalidScenarioError, match=message):
+            build()
+
+    def test_numbers_are_stored_as_floats(self):
+        # A Fraction, or an int beyond 2**53, could be built but written as
+        # no JSON number, or as one that read back as another float.
+        big = 2**53 + 1
+        path = WaypointPath(((Fraction(1, 3), big),), Fraction(1, 2))
+        scenario = MobilityScenario(
+            name="n",
+            aps=(ApNode("0a:00:00:00:00:01", "", (big, 0), Fraction(-81, 2), -95),),
+            groups=(GroupSpec("g", ("02:00:00:00:00:01",), path, ((Fraction(1, 3), 0),)),),
+            loners=[LonerSpec("02:00:00:00:00:02", path)],
+            radio=RadioModel(Fraction(5, 2), Fraction(1, 3), big),
+            sample_interval=Fraction(5),
+            duration=Fraction(120),
+            dropout_rate=Fraction(1, 10),
+        )
+        assert scenario.groups[0].path.waypoints == ((1 / 3, float(big)),)
+        assert type(scenario.loners) is tuple
+        buf = io.StringIO()
+        write_scenario(scenario, buf)
+        assert read_scenario(io.StringIO(buf.getvalue())) == scenario
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_scenario_that_can_be_built_reads_back_equal(self, data):
+        # At most one field takes a value from HOSTILE; the others take
+        # usable values, so that most examples build.
+        hostile = data.draw(st.sampled_from([None, *SCENARIO_FIELDS, *ID_FIELDS]))
+        serial = itertools.count()
+
+        def value(field):
+            if field == hostile:
+                return data.draw(HOSTILE)
+            return data.draw(_ids(next(serial)) if field in ID_FIELDS else SCENARIO_FIELDS[field])
+
+        def path():
+            return WaypointPath(
+                tuple((value("coordinate"), value("coordinate")) for _ in range(data.draw(st.integers(1, 3)))),
+                value("speed"),
+            )
+
+        try:
+            scenario = MobilityScenario(
+                name=value("name"),
+                aps=tuple(
+                    ApNode(value("bssid"), value("ssid"), (value("coordinate"), value("coordinate")),
+                           value("tx_power_dbm"), value("detection_floor_dbm"))
+                    for _ in range(data.draw(st.integers(1, 2)))
+                ),
+                groups=tuple(
+                    GroupSpec(value("group_id"), (value("device"), value("device")), path(),
+                              ((value("coordinate"), value("coordinate")),) * 2)
+                    for _ in range(data.draw(st.integers(1, 2)))
+                ),
+                loners=tuple(LonerSpec(value("device"), path()) for _ in range(data.draw(st.integers(0, 2)))),
+                radio=RadioModel(value("path_loss_exponent"), value("noise_sigma_db"), value("seed")),
+                sample_interval=value("sample_interval"),
+                duration=value("duration"),
+                dropout_rate=value("dropout_rate"),
+            )
+            scenario.validate()
+        except (InvalidScenarioError, ValueError):
+            return  # a scenario that cannot be built, or cannot be simulated
+        buf = io.StringIO()
+        write_scenario(scenario, buf)
+        assert read_scenario(io.StringIO(buf.getvalue())) == scenario
 
     def test_invalid_scenario_json(self, tmp_path):
         with pytest.raises(InvalidScenarioError):

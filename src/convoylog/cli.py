@@ -20,6 +20,7 @@ produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -304,8 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="convoylog",
         description="Co-travel group discovery over Wi-Fi proximity logs.",
+        allow_abbrev=False,  # options are spelled in full, as _parse assumes
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def group_flags(p: argparse.ArgumentParser, delta_default: float | None = 2.0):
         p.add_argument(
@@ -333,18 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, default=2, help="minimum objects per dense group (default: %(default)s)")
         p.add_argument("--k", type=int, default=2, help="minimum lifetime in grid steps (default: %(default)s)")
 
-    p = sub.add_parser("simulate", help="run a scenario and write its three JSONL artifacts")
+    p = add_parser("simulate", help="run a scenario and write its three JSONL artifacts")
     p.add_argument("scenario", help="scenario JSON path, or builtin:fig4 / builtin:corridor")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("ingest", help="merge proximity JSONL files into one validated log")
+    p = add_parser("ingest", help="merge proximity JSONL files into one validated log")
     p.add_argument("inputs", nargs="+", help="input proximity JSONL files")
     p.add_argument("--out", required=True, help="merged log path")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("query-group", help="who has been co-traveling with a device")
+    p = add_parser("query-group", help="who has been co-traveling with a device")
     p.add_argument("--log", required=True, help="proximity JSONL path")
     p.add_argument("--device", required=True)
     p.add_argument("--t0", default="latest", help="query time in seconds, or 'latest' (default)")
@@ -355,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_query_group)
 
-    p = sub.add_parser("eval-rules", help="evaluate a rule file for one device")
+    p = add_parser("eval-rules", help="evaluate a rule file for one device")
     p.add_argument("--log", required=True, help="proximity JSONL path")
     p.add_argument("--rules", required=True, help="rule file path")
     p.add_argument("--device", required=True)
@@ -369,12 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     group_flags(p)
     p.set_defaults(func=cmd_eval_rules)
 
-    p = sub.add_parser("convoy-baseline", help="coordinate convoy discovery over trajectory JSONL")
+    p = add_parser("convoy-baseline", help="coordinate convoy discovery over trajectory JSONL")
     p.add_argument("--trajectories", required=True, help="trajectory JSONL path")
     convoy_flags(p)
     p.set_defaults(func=cmd_convoy_baseline)
 
-    p = sub.add_parser("compare", help="simulate, run both pipelines, report per-group scores")
+    p = add_parser("compare", help="simulate, run both pipelines, report per-group scores")
     p.add_argument("scenario", help="scenario JSON path, or builtin:fig4 / builtin:corridor")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--n", type=int, default=2, help="group size threshold (default: %(default)s)")
@@ -389,25 +392,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed, with "--opt VALUE" read as "--opt=VALUE" for every option that
-    takes a value unless VALUE starts with "--", so argparse takes no -inf for an
-    option; an option handed no text ([] for "--opt=--") is a ConvoylogError."""
+    """argv parsed, "--opt VALUE" read as "--opt=VALUE" unless --opt is a flag or
+    VALUE starts with "--" (so argparse takes no -inf for an option, and ends an
+    unknown --opt alike either way); an option handed no text ([] for
+    "--opt=--") is a ConvoylogError."""
     parser = build_parser()
     (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    takes_value = {s: a for p in commands.values() for a in p._actions if a.nargs != 0 for s in a.option_strings}
+    flags = {s for p in commands.values() for a in p._actions if a.nargs == 0 for s in a.option_strings}
     joined: list[str] = []
     for arg in argv:
-        if joined and joined[-1] in takes_value and "--" not in joined and not arg.startswith("--"):
+        last = joined[-1] if joined else ""
+        waiting = last.startswith("--") and "=" not in last and last not in flags
+        if waiting and "--" not in joined and not arg.startswith("--"):
             arg = joined.pop() + "=" + arg
         joined.append(arg)
     args = parser.parse_args(joined)
-    for option, action in takes_value.items():
-        if isinstance(getattr(args, action.dest, None), list):
-            raise ConvoylogError(f"{option}: expected a value")
+    for dest, value in vars(args).items():
+        if value == []:  # every option's dest is its name
+            raise ConvoylogError(f"--{dest.replace('_', '-')}: expected a value")
     return args
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Text standard output cannot encode (a path that is not UTF-8, a lone
+    # surrogate in an id) is written escaped, as Python writes standard error.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         status = args.func(args)

@@ -1,10 +1,12 @@
-"""How every file convoylog reads is opened, decoded and field-checked.
+"""How every file convoylog reads is opened, decoded and shape-checked.
 
 Proximity logs, trajectories and ground truth are JSONL, scenarios are one
 JSON document, and rule files are text. Whichever reader meets a malformed
 file, it fails as a LogFormatError, numbered with the line for JSONL. JSONL
 paths are read as bytes and decoded as UTF-8 one line at a time, so a bad
-byte is reported on its own line.
+byte is reported on its own line. A reader checks shape only (get, require)
+and hands each value to the constructor that checks it; the proximity log's
+decoder alone checks types itself, on its measured fast path.
 
 Every reader decodes JSON through loads. A stripped JSONL line goes to the
 C scanner (json.JSONDecoder.raw_decode) alone, without json.loads' checks
@@ -22,7 +24,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import IO, Any, ContextManager
 
-from .errors import ConvoylogError, LogFormatError, finite
+from .errors import ConvoylogError, LogFormatError
 
 
 def opened(file: str | Path | IO, mode: str) -> ContextManager[IO]:
@@ -93,19 +95,19 @@ def write_jsonl(dest: str | Path | IO[str], records: Iterable[Mapping]) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def require(obj: Mapping, key: str | int, kinds, where: str):
-    """obj[key], which must be an instance of kinds and not a bool."""
+def get(obj: Mapping, key: str, where: str):
+    """obj[key]; LogFormatError unless obj is a JSON object that has key."""
     try:
-        value = obj[key]
+        return obj[key]
     except KeyError:
         raise LogFormatError(f"{where}: missing field {key!r}") from None
     except TypeError:  # obj is some other JSON value
         raise LogFormatError(f"{where} must be a JSON object") from None
+
+
+def require(obj: Mapping, key: str, kinds, where: str):
+    """get(obj, key, where), which must be an instance of kinds and not a bool."""
+    value = get(obj, key, where)
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise LogFormatError(f"{where}: field {key!r} has wrong type")
     return value
-
-
-def number(obj: Mapping, key: str | int, where: str) -> float:
-    """obj[key], which must be a JSON number, as a float that errors.finite takes."""
-    return finite(require(obj, key, (int, float), where), f"{where}: field {key!r}", LogFormatError)

@@ -3,7 +3,9 @@
 Produces paired views of the same walk: the coordinate trajectories a
 tracking system would see, and the Wi-Fi proximity log the devices
 themselves would record. Ground-truth labels say which devices were planted
-as a group, so discovery quality can be scored.
+as a group, so discovery quality can be scored. Each scenario part and label
+checks its values when built, the readers only shape, so a MobilityScenario
+that exists can be simulated.
 
 Radio propagation is log-distance path loss with optional Gaussian noise:
 
@@ -50,12 +52,12 @@ import json
 import math
 import random
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import IO
 
 from .errors import InvalidScenarioError, LogFormatError, finite
-from .jsonio import loads, number, opened, read_jsonl, read_text, require, write_jsonl
+from .jsonio import get, loads, opened, read_jsonl, read_text, require, write_jsonl
 from .proximity import (
     DeviceId,
     EnvironmentSnapshot,
@@ -125,8 +127,11 @@ class RadioModel:
 
 
 def _finite_points(points: Iterable, what: str) -> tuple[Point, ...]:
-    """points as Points of floats; InvalidScenarioError unless finite."""
-    return tuple(Point(*(_finite(c, f"{what} coordinates") for c in p)) for p in points)
+    """points as Points of floats; InvalidScenarioError unless (x, y) pairs of finite numbers."""
+    try:
+        return tuple(Point(_finite(x, f"{what} coordinates"), _finite(y, f"{what} coordinates")) for x, y in points)
+    except (TypeError, ValueError):  # not a pair
+        raise InvalidScenarioError(f"{what} must be an (x, y) pair") from None
 
 
 @dataclass(frozen=True)
@@ -148,6 +153,7 @@ class WaypointPath:
             raise InvalidScenarioError(f"speed must be positive and finite, got {self.speed}")
         object.__setattr__(self, "speed", speed)
         object.__setattr__(self, "legs", tuple(a.distance_to(b) for a, b in zip(pts, pts[1:])))
+        _finite(sum(self.legs), "path length")  # so every position on the path is finite
 
     def position_at(self, t: float) -> Point:
         if not finite(t, "time") >= 0:
@@ -175,6 +181,13 @@ def path_through(waypoints: Iterable[tuple[float, float]], travel_time: float) -
     return WaypointPath(pts, length / travel_time)
 
 
+def _check_group_id(group_id: str) -> None:
+    if not isinstance(group_id, str):
+        raise InvalidScenarioError(f"group id must be a string, got {group_id!r}")
+    if not group_id:
+        raise InvalidScenarioError("group id must be non-empty")
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Devices planted to walk one shared path.
@@ -189,10 +202,7 @@ class GroupSpec:
     offsets: tuple[Point, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.group_id, str):
-            raise InvalidScenarioError(f"group id must be a string, got {self.group_id!r}")
-        if not self.group_id:
-            raise InvalidScenarioError("group id must be non-empty")
+        _check_group_id(self.group_id)
         members = tuple(canonical_id(d) for d in self.members)
         object.__setattr__(self, "members", members)
         if not members:
@@ -205,6 +215,9 @@ class GroupSpec:
             raise InvalidScenarioError(
                 f"group {self.group_id}: offsets must match members one-to-one"
             )
+        xs, ys = zip(*self.path.waypoints)
+        corners = ((min(xs), min(ys)), (max(xs), max(ys)))  # a member's positions lie between these plus its offset
+        _finite_points(((x + o.x, y + o.y) for o in offsets for x, y in corners), f"group {self.group_id}: member")
 
 
 @dataclass(frozen=True)
@@ -220,6 +233,10 @@ class LonerSpec:
 
 @dataclass(frozen=True)
 class MobilityScenario:
+    """InvalidScenarioError unless the scenario can be simulated: its numbers
+    in range, its ids unique, its samples within MAX_SAMPLES and its levels
+    finite."""
+
     name: str
     aps: tuple[ApNode, ...]
     groups: tuple[GroupSpec, ...]
@@ -236,45 +253,31 @@ class MobilityScenario:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("sample_interval", "duration", "dropout_rate"):
             object.__setattr__(self, name, _finite(getattr(self, name), name))
-
-    def validate(self) -> None:
-        """InvalidScenarioError unless the scenario can be simulated: its
-        numbers in range, its ids unique and its samples within MAX_SAMPLES."""
         if not self.sample_interval > 0:
             raise InvalidScenarioError("sample_interval must be positive and finite")
         if not self.duration >= 0:
             raise InvalidScenarioError("duration must be non-negative and finite")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidScenarioError("dropout_rate must be in [0, 1)")
-        riders = sum(len(g.members) for g in self.groups) + len(self.loners)
-        if (self.duration / self.sample_interval + 1) * max(riders, 1) > MAX_SAMPLES:
+        devices = [d for g in self.groups for d in g.members] + [l.device for l in self.loners]
+        if (self.duration / self.sample_interval + 1) * max(len(devices), 1) > MAX_SAMPLES:
             raise InvalidScenarioError(f"more than {MAX_SAMPLES} samples (steps x devices)")
-        seen_bssids: set[str] = set()
-        for ap in self.aps:
-            if ap.bssid in seen_bssids:
-                raise InvalidScenarioError(f"duplicate access point {ap.bssid}")
-            seen_bssids.add(ap.bssid)
-        seen_groups: set[str] = set()
-        seen_devices: set[str] = set()
-        for group in self.groups:
-            if group.group_id in seen_groups:
-                raise InvalidScenarioError(f"duplicate group id {group.group_id}")
-            seen_groups.add(group.group_id)
-            for device in group.members:
-                if device in seen_devices:
-                    raise InvalidScenarioError(f"device {device} appears twice")
-                seen_devices.add(device)
-        for loner in self.loners:
-            if loner.device in seen_devices:
-                raise InvalidScenarioError(f"device {loner.device} appears twice")
-            seen_devices.add(loner.device)
+        for ap in self.aps:  # no level heard, noise included, exceeds this
+            _finite(ap.tx_power_dbm + _Z_BOUND * self.radio.noise_sigma_db, f"ap {ap.bssid}: loudest level")
+        for what, ids in (
+            ("access point", [ap.bssid for ap in self.aps]),
+            ("group id", [g.group_id for g in self.groups]),
+            ("device", devices),
+        ):
+            if len(set(ids)) < len(ids):
+                raise InvalidScenarioError(f"duplicate {what} {next(i for i in ids if ids.count(i) > 1)}")
 
 
 @dataclass(frozen=True)
 class GroundTruthRecord:
     """Planted label for one device: its group (None for loners) and the
-    interval, in seconds, as floats that errors.finite takes (ValueError
-    otherwise), so that every record can be written and read back."""
+    interval, in seconds, as floats that errors.finite takes, with ids checked
+    as in a scenario, so that every record can be written and read back."""
 
     device: DeviceId
     group: str | None
@@ -282,6 +285,9 @@ class GroundTruthRecord:
     t_end: float
 
     def __post_init__(self):
+        object.__setattr__(self, "device", canonical_id(self.device))
+        if self.group is not None:
+            _check_group_id(self.group)
         for name in ("t_start", "t_end"):
             object.__setattr__(self, name, finite(getattr(self, name), name))
 
@@ -426,7 +432,6 @@ def simulate(scenario: MobilityScenario) -> SimulationResult:
     views of one sample are index-aligned. Equal readings (bssid, rounded
     level, ssid) share one ApObservation (proximity._observation).
     """
-    scenario.validate()
     rng = random.Random(scenario.radio.seed)
     dt = scenario.sample_interval
     steps = int(math.floor(scenario.duration / dt + 1e-9)) + 1
@@ -617,76 +622,61 @@ def scenario_to_json(scenario: MobilityScenario) -> dict:
     }
 
 
-def _list_of(obj: Mapping, key: str, kind, where: str) -> list:
-    items = require(obj, key, list, where)
-    if not all(isinstance(item, kind) for item in items):
-        raise LogFormatError(f"{where}: field {key!r} has an item of wrong type")
-    return items
-
-
-def _points(obj: Mapping, key: str, where: str) -> tuple[Point, ...]:
-    pairs = _list_of(obj, key, list, where)
-    if any(len(pair) != 2 for pair in pairs):
-        raise LogFormatError(f"{where}: {key} must be [x, y] pairs")
-    return tuple(Point(number(p, 0, f"{where}: {key}"), number(p, 1, f"{where}: {key}")) for p in pairs)
-
-
 def scenario_from_json(obj: Mapping) -> MobilityScenario:
-    """Decode a scenario; a missing, mistyped or non-finite field raises
-    InvalidScenarioError."""
+    """Decode a scenario. Only its shape is checked here (objects, lists,
+    fields present); each value goes to the part that holds it, which
+    checks it. Any fault raises InvalidScenarioError."""
     try:
         radio = require(obj, "radio", Mapping, "scenario")
         aps = tuple(
             ApNode(
-                bssid=require(ap, "bssid", str, "ap"),
-                ssid=require(ap, "ssid", str, "ap") if "ssid" in ap else "",
-                position=Point(number(ap, "x", "ap"), number(ap, "y", "ap")),
-                tx_power_dbm=number(ap, "tx_power_dbm", "ap"),
-                detection_floor_dbm=number(ap, "detection_floor_dbm", "ap"),
+                bssid=get(ap, "bssid", "ap"),
+                ssid=get(ap, "ssid", "ap") if "ssid" in ap else "",
+                position=Point(get(ap, "x", "ap"), get(ap, "y", "ap")),
+                tx_power_dbm=get(ap, "tx_power_dbm", "ap"),
+                detection_floor_dbm=get(ap, "detection_floor_dbm", "ap"),
             )
             for ap in require(obj, "aps", list, "scenario")
         )
         groups = tuple(
             GroupSpec(
-                group_id=require(g, "group", str, "group"),
-                members=tuple(_list_of(g, "members", str, "group")),
-                path=WaypointPath(_points(g, "waypoints", "group"), number(g, "speed", "group")),
-                offsets=_points(g, "offsets", "group") if "offsets" in g else (),
+                group_id=get(g, "group", "group"),
+                members=require(g, "members", list, "group"),
+                path=WaypointPath(require(g, "waypoints", list, "group"), get(g, "speed", "group")),
+                offsets=require(g, "offsets", list, "group") if "offsets" in g else (),
             )
             for g in require(obj, "groups", list, "scenario")
         )
         loners = tuple(
             LonerSpec(
-                device=require(l, "device", str, "loner"),
-                path=WaypointPath(_points(l, "waypoints", "loner"), number(l, "speed", "loner")),
+                device=get(l, "device", "loner"),
+                path=WaypointPath(require(l, "waypoints", list, "loner"), get(l, "speed", "loner")),
             )
             for l in require(obj, "loners", list, "scenario")
         )
         return MobilityScenario(
-            name=require(obj, "name", str, "scenario"),
+            name=get(obj, "name", "scenario"),
             aps=aps,
             groups=groups,
             loners=loners,
             radio=RadioModel(
-                path_loss_exponent=number(radio, "path_loss_exponent", "radio"),
-                noise_sigma_db=number(radio, "noise_sigma_db", "radio"),
-                seed=require(radio, "seed", int, "radio"),
+                path_loss_exponent=get(radio, "path_loss_exponent", "radio"),
+                noise_sigma_db=get(radio, "noise_sigma_db", "radio"),
+                seed=get(radio, "seed", "radio"),
             ),
-            sample_interval=number(obj, "sample_interval", "scenario"),
-            duration=number(obj, "duration", "scenario"),
-            dropout_rate=number(obj, "dropout_rate", "scenario") if "dropout_rate" in obj else 0.0,
+            sample_interval=get(obj, "sample_interval", "scenario"),
+            duration=get(obj, "duration", "scenario"),
+            dropout_rate=get(obj, "dropout_rate", "scenario") if "dropout_rate" in obj else 0.0,
         )
-    except (LogFormatError, ValueError) as exc:  # ValueError: an empty identifier
+    except (LogFormatError, ValueError) as exc:  # ValueError: an unusable identifier
         raise InvalidScenarioError(str(exc)) from None
 
 
 def read_scenario(source: str | Path | IO[str]) -> MobilityScenario:
     try:
-        scenario = scenario_from_json(loads(read_text(source)))
+        return scenario_from_json(loads(read_text(source)))
     except LogFormatError as exc:
         raise InvalidScenarioError(f"scenario: {exc}") from None
-    scenario.validate()
-    return scenario
 
 
 def write_scenario(scenario: MobilityScenario, dest: str | Path | IO[str]) -> None:
@@ -698,23 +688,11 @@ def write_scenario(scenario: MobilityScenario, dest: str | Path | IO[str]) -> No
 def write_ground_truth_jsonl(
     records: Iterable[GroundTruthRecord], dest: str | Path | IO[str]
 ) -> None:
-    write_jsonl(
-        dest,
-        ({"device": r.device, "group": r.group, "t_start": r.t_start, "t_end": r.t_end} for r in records),
-    )
+    write_jsonl(dest, map(asdict, records))
 
 
 def read_ground_truth_jsonl(source: str | Path | IO[str]) -> tuple[GroundTruthRecord, ...]:
     records: list[GroundTruthRecord] = []
-    read_jsonl(
-        source,
-        lambda obj: records.append(
-            GroundTruthRecord(
-                device=require(obj, "device", str, "record"),
-                group=require(obj, "group", (str, type(None)), "record"),
-                t_start=number(obj, "t_start", "record"),
-                t_end=number(obj, "t_end", "record"),
-            )
-        ),
-    )
+    names = [f.name for f in fields(GroundTruthRecord)]
+    read_jsonl(source, lambda obj: records.append(GroundTruthRecord(*(get(obj, n, "record") for n in names))))
     return tuple(records)

@@ -117,7 +117,7 @@ from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
 from .errors import NonMonotoneTimestampError, UnknownDeviceError, check_count, check_threshold, finite
-from .jsonio import read_jsonl, require, write_jsonl
+from .jsonio import get, read_jsonl, write_jsonl
 
 ObjectId = str
 
@@ -422,9 +422,9 @@ def read_trajectories_jsonl(source: str | Path | IO[str]) -> TrajectoryDb:
     read_jsonl(
         source,
         lambda obj: db.add(
-            require(obj, "object", str, "record"),
-            require(obj, "t", int, "record"),
-            Point(require(obj, "x", (int, float), "record"), require(obj, "y", (int, float), "record")),
+            get(obj, "object", "record"),
+            get(obj, "t", "record"),
+            Point(get(obj, "x", "record"), get(obj, "y", "record")),
         ),
     )
     return db

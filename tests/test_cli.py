@@ -465,6 +465,34 @@ class TestParser:
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def strict_run(cwd, *argv) -> subprocess.CompletedProcess:
+    """convoylog argv in cwd, writing to a strict UTF-8 standard output."""
+    return subprocess.run(
+        [sys.executable, "-m", "convoylog.cli", *argv],
+        capture_output=True,
+        cwd=cwd,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8:strict"},
+    )
+
+
+def test_path_that_is_not_utf8_is_printed_escaped(tmp_path):
+    # Each line used to end the run in a UnicodeEncodeError traceback, after
+    # the files were written.
+    proc = strict_run(tmp_path, "simulate", "builtin:fig4", "--out", b"e\xff")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert b"trajectories: e\\udcff/trajectories.jsonl\n" in proc.stdout
+    assert (tmp_path / os.fsdecode(b"e\xff") / "ground_truth.jsonl").exists()
+
+
+def test_id_that_is_a_lone_surrogate_is_printed_escaped(tmp_path):
+    lines = [{"device": d, "t": 5, "aps": [{"bssid": X, "rssi": -50}]} for d in (A, "\ud800")]
+    (tmp_path / "log.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines))
+    proc = strict_run(tmp_path, "query-group", "--log", "log.jsonl", "--device", A, "--min-steps", "1")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert b"members: \\ud800\n" in proc.stdout
+
+
 @pytest.mark.parametrize("bad", UNDECODABLE_LINES.values(), ids=UNDECODABLE_LINES.keys())
 @pytest.mark.parametrize("command", ["ingest", "convoy-baseline", "simulate", "eval-rules"])
 def test_undecodable_input_is_one_error_line(tmp_path, command, bad):
@@ -622,9 +650,9 @@ def test_negative_text_reaches_the_option_check(cli_dir, monkeypatch, argv, opti
 
 
 # The whole command line, drawn from each command's own parser: any of the
-# command's options and all of its positionals. Each value is usable two
-# times in three; otherwise it is from HOSTILE or, as often, argparse's own
-# "--".
+# command's options, at times abbreviated, and all of its positionals. Each
+# value is usable two times in three; otherwise it is from HOSTILE or, as
+# often, argparse's own "--".
 COMMANDS = next(a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
 # A command line holds no NUL character, so none is drawn.
 HOSTILE = [
@@ -661,6 +689,9 @@ def command_lines(draw) -> tuple[list[str], list[str]]:
                 pieces.append(([value], [value]))
                 continue
             option = draw(st.sampled_from(action.option_strings))
+            if len(option) > 3 and draw(st.integers(0, 3)) == 0:
+                # An abbreviation, which no parser takes for the option.
+                option = option[: draw(st.integers(3, len(option) - 1))]
             drawn = draw(st.sampled_from([[option, value], [f"{option}={value}"]]))
             pieces.append((drawn, drawn if value.startswith("--") else [f"{option}={value}"]))
     argv, joined = [command], [command]
@@ -675,9 +706,12 @@ def command_lines(draw) -> tuple[list[str], list[str]]:
 @example(lines=(["query-group", "--log", "in/proximity.jsonl", "--device", "nobody", "--omega", "-inf"],
                 ["query-group", "--log", "in/proximity.jsonl", "--device", "nobody", "--omega=-inf"]))
 @example(lines=(["simulate", "builtin:corridor", "--out=--"],) * 2)
+@example(lines=([*QUERY, "--om", "-inf"], [*QUERY, "--om=-inf"]))
+@example(lines=([*QUERY, "--om", "-h"], [*QUERY, "--om=-h"]))
 def test_every_command_line_ends_in_one_of_three_ways(cli_dir, monkeypatch, lines):
     """Exit 0, exit 1 with one error: line, or argparse's exit 2, never an
-    exception; and "--opt VALUE" ends as "--opt=VALUE" does."""
+    exception; and "--opt VALUE" ends as "--opt=VALUE" does, for an
+    abbreviated --opt too."""
     monkeypatch.chdir(cli_dir)
     argv, joined = lines
     code, out, err = ends(argv)

@@ -158,8 +158,8 @@ SLOTS = {
         lambda v: simulate(scenario(sample_interval=v)), finite_and(lambda x: x > 0), InvalidScenarioError
     ),
     "MobilityScenario.duration": (
-        # validate only: an accepted duration may ask for up to MAX_SAMPLES samples
-        lambda v: scenario(duration=v).validate(),
+        # construction only: an accepted duration may ask for up to MAX_SAMPLES samples
+        lambda v: scenario(duration=v),
         finite_and(lambda x: x >= 0 and x / 1.0 + 1 <= MAX_SAMPLES),
         InvalidScenarioError,
     ),

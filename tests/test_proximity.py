@@ -289,12 +289,16 @@ class TestLog:
 
     def test_reads_survive_a_collection_that_adds_a_device(self):
         # A collection inside a read may switch to the writer; a finalizer
-        # that ingests a device stands in for it, deterministically.
+        # that ingests a device stands in for it. When the collector runs is
+        # the interpreter's choice (at an allocation up to 3.11, at the next
+        # check between bytecodes from 3.12), so each read is repeated until
+        # such a collection has run inside it, at most ATTEMPTS times.
+        ATTEMPTS = 50
         log = ProximityLog()
         fp = Fingerprint(1.0, snapshot({X: -50}))
         for i in range(200):
             log.ingest(f"02:00:00:00:00:{i:02x}", fp)
-        live = [True]
+        live, reading, added_while_reading = [True], [False], [0]
 
         class Cycle:
             def __init__(self):
@@ -303,22 +307,28 @@ class TestLog:
             def __del__(self):
                 if live[0]:
                     log.ingest(f"02:00:00:01:{len(log) >> 8:02x}:{len(log) & 255:02x}", fp)
+                    added_while_reading[0] += reading[0]
                     Cycle()  # garbage for the next collection inside the read
 
         threshold, enabled = gc.get_threshold(), gc.isenabled()
         try:
             for read in (lambda: log.devices, lambda: log.measurements_in_window(0.0, 5.0)):
-                # Held so that a read building (id, track) pairs must allocate,
-                # and so collect, rather than reuse freed pairs.
-                pairs = [(i, i) for i in range(5000)]
-                before = len(log)
-                gc.disable()
-                Cycle()
-                gc.set_threshold(1)
-                gc.enable()
-                read()
-                assert len(log) > before
-                del pairs
+                added_while_reading[0] = 0
+                for _ in range(ATTEMPTS):
+                    # Held so that a read building (id, track) pairs must
+                    # allocate, and so collect, rather than reuse freed pairs.
+                    pairs = [(i, i) for i in range(5000)]
+                    gc.disable()
+                    Cycle()
+                    gc.set_threshold(1)
+                    gc.enable()
+                    reading[0] = True
+                    read()
+                    reading[0] = False
+                    del pairs
+                    if added_while_reading[0]:
+                        break
+                assert added_while_reading[0] > 0
         finally:
             live[0] = False
             gc.set_threshold(*threshold)

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convoylog import (
@@ -232,6 +232,8 @@ def _ids(k: int):
     return st.text(max_size=4).map(lambda text: f"{text}#{k}") | st.just(f"0A-00-00-00-00-{k:02X}")
 
 
+# Ids no part may hold: not text, or blank.
+HOSTILE_IDS = [None, True, 5, 1.5, b"g", ["g"], "", " ", "\t"]
 # Any value, of any field: wrong types, unusable numbers, usable ones.
 HOSTILE = st.one_of(
     st.sampled_from([None, True, 1.5, "abc", b"g", ["g"], math.nan, math.inf, -1, 0, 10**400, Fraction(1, 3)]),
@@ -248,11 +250,9 @@ class TestScenarioValidation:
             simulate(tiny_scenario(dropout_rate=1.0))
 
     def test_duplicate_device_rejected(self):
-        bad = tiny_scenario(
-            loners=(LonerSpec(device="02:00:00:00:00:01", path=WaypointPath((Point(0, 0),), 1.0)),)
-        )
-        with pytest.raises(InvalidScenarioError):
-            simulate(bad)
+        loner = LonerSpec(device="02:00:00:00:00:01", path=WaypointPath((Point(0, 0),), 1.0))
+        with pytest.raises(InvalidScenarioError, match="^duplicate device 02:00:00:00:00:01$"):
+            tiny_scenario(loners=(loner,))
 
     def test_duplicate_ap_rejected(self):
         with pytest.raises(InvalidScenarioError):
@@ -263,23 +263,38 @@ class TestScenarioValidation:
             simulate(tiny_scenario(sample_interval=0.0))
         for interval in (float("nan"), float("inf")):
             with pytest.raises(InvalidScenarioError):
-                tiny_scenario(sample_interval=interval).validate()
+                tiny_scenario(sample_interval=interval)
 
     @pytest.mark.parametrize("duration", [-1.0, float("nan"), float("inf")])
     def test_bad_duration_rejected(self, duration):
         with pytest.raises(InvalidScenarioError):
-            tiny_scenario(duration=duration).validate()
+            tiny_scenario(duration=duration)
 
     def test_sample_cap(self):
-        # Validation only: a scenario at the cap would take minutes to run.
+        # Construction only: a scenario at the cap would take minutes to run.
         # tiny_scenario has one device, so duration d at interval 1 asks for
         # d + 1 samples.
-        tiny_scenario(duration=MAX_SAMPLES - 1.0).validate()
-        for over in (tiny_scenario(duration=MAX_SAMPLES), tiny_scenario(sample_interval=1e-300)):
-            with pytest.raises(InvalidScenarioError):
-                over.validate()
+        tiny_scenario(duration=MAX_SAMPLES - 1.0)
+        for over in (dict(duration=MAX_SAMPLES), dict(sample_interval=1e-300)):
+            with pytest.raises(InvalidScenarioError, match="samples"):
+                tiny_scenario(**over)
         with pytest.raises(InvalidScenarioError):  # no devices still counts the steps
-            tiny_scenario(groups=(), sample_interval=1e-300).validate()
+            tiny_scenario(groups=(), sample_interval=1e-300)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: tiny_scenario(radio=RadioModel(noise_sigma_db=6.9e307)),
+            lambda: LonerSpec("a", WaypointPath(((-1e308, 0.0), (1e308, 0.0)), 1.0)),
+            lambda: GroupSpec("g", ("a",), WaypointPath(((1e308, 0.0),), 1.0), ((1e308, 0.0),)),
+        ],
+        ids=["loud-noise", "overflowing-leg", "overflowing-offset"],
+    )
+    def test_scenario_whose_samples_would_overflow_is_not_built(self, build):
+        # Each was built, and simulate then failed on an infinite level
+        # (OverflowError) or position (ValueError).
+        with pytest.raises(InvalidScenarioError, match="must be finite, got inf$"):
+            build()
 
     def test_offsets_must_match_members(self):
         with pytest.raises(InvalidScenarioError):
@@ -292,7 +307,7 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_coordinates_rejected(self, bad):
-        # Built from Python: the scenario reader checks its numbers itself.
+        # The part checks its numbers, for the scenario reader too.
         with pytest.raises(InvalidScenarioError):
             WaypointPath((Point(0, 0), Point(bad, 1.0)), 1.0)
         with pytest.raises(InvalidScenarioError):
@@ -308,7 +323,7 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("ssid", [None, 5, b"lab"])
     def test_non_str_ssid_rejected(self, ssid):
         # Built from Python: simulate would write "ssid": null, which the
-        # log reader rejects. The scenario reader checks the field itself.
+        # log reader rejects. The scenario reader hands the field to this check.
         with pytest.raises(InvalidScenarioError, match="ssid must be a string"):
             ApNode(bssid="0a:00:00:00:00:01", ssid=ssid, position=Point(0.0, 0.0),
                    tx_power_dbm=-40.0, detection_floor_dbm=-95.0)
@@ -660,7 +675,8 @@ class TestSerialization:
     @given(st.data())
     def test_every_scenario_that_can_be_built_reads_back_equal(self, data):
         # At most one field takes a value from HOSTILE; the others take
-        # usable values, so that most examples build.
+        # usable values, so that most examples build. A scenario that is
+        # built can be simulated; those of at most 2,000 samples are.
         hostile = data.draw(st.sampled_from([None, *SCENARIO_FIELDS, *ID_FIELDS]))
         serial = itertools.count()
 
@@ -694,12 +710,14 @@ class TestSerialization:
                 duration=value("duration"),
                 dropout_rate=value("dropout_rate"),
             )
-            scenario.validate()
         except (InvalidScenarioError, ValueError):
-            return  # a scenario that cannot be built, or cannot be simulated
+            return  # a scenario that cannot be built
         buf = io.StringIO()
         write_scenario(scenario, buf)
         assert read_scenario(io.StringIO(buf.getvalue())) == scenario
+        devices = sum(len(g.members) for g in scenario.groups) + len(scenario.loners)
+        if (scenario.duration / scenario.sample_interval + 1) * devices <= 2000:
+            simulate(scenario)
 
     def test_invalid_scenario_json(self, tmp_path):
         with pytest.raises(InvalidScenarioError):
@@ -715,35 +733,66 @@ class TestSerialization:
         with pytest.raises(InvalidScenarioError, match="not UTF-8"):
             read_scenario(io.BytesIO(b"\xff{}"))
 
+    # One malformed value for each field, and the one error it raises: the
+    # reader checks only the document's shape, and the part that holds a
+    # value checks it.
     MALFORMED_FIELDS = {
-        "string-seed": (("radio", "seed"), "z"),
-        "fractional-seed": (("radio", "seed"), 1.5),
-        "string-x": (("aps", 0, "x"), "q"),
-        "overflowing-x": (("aps", 0, "x"), 10**400),
-        "numeric-bssid": (("aps", 0, "bssid"), 5),
-        "numeric-aps": (("aps",), 5),
-        "numeric-ap": (("aps",), [5]),
-        "list-device": (("loners", 0, "device"), ["a"]),
-        "string-members": (("groups", 0, "members"), "abc"),
-        "numeric-member": (("groups", 0, "members"), [5]),
-        "numeric-group-id": (("groups", 0, "group"), 3),
-        "nan-speed": (("groups", 0, "speed"), float("nan")),
-        "nan-waypoint": (("groups", 0, "waypoints"), [[float("nan"), 0.0], [1.0, 1.0]]),
-        "waypoint-triple": (("groups", 0, "waypoints"), [[0.0, 0.0, 0.0]]),
-        "numeric-name": (("name",), 5),
-        "infinite-duration": (("duration",), float("inf")),
-        "runaway-interval": (("sample_interval",), 1e-300),
+        "numeric-name": (("name",), 5, "scenario name must be a string, got 5"),
+        "runaway-interval": (("sample_interval",), 1e-300, "more than 1000000 samples (steps x devices)"),
+        "infinite-duration": (("duration",), float("inf"), "duration must be finite, got inf"),
+        "full-dropout": (("dropout_rate",), 1.0, "dropout_rate must be in [0, 1)"),
+        "list-radio": (("radio",), [1], "scenario: field 'radio' has wrong type"),
+        "null-exponent": (("radio", "path_loss_exponent"), None, "path_loss_exponent must be a number, got None"),
+        "negative-sigma": (("radio", "noise_sigma_db"), -1, "noise_sigma_db must be non-negative and finite"),
+        "string-seed": (("radio", "seed"), "z", "seed must be an integer, got 'z'"),
+        "fractional-seed": (("radio", "seed"), 1.5, "seed must be an integer, got 1.5"),
+        "numeric-aps": (("aps",), 5, "scenario: field 'aps' has wrong type"),
+        "numeric-ap": (("aps",), [5], "ap must be a JSON object"),
+        "numeric-bssid": (("aps", 0, "bssid"), 5, "identifier must be a string, got 5"),
+        "numeric-ssid": (("aps", 0, "ssid"), 5, "ap 0a:00:00:00:00:01: ssid must be a string"),
+        "string-x": (("aps", 0, "x"), "q", "ap 0a:00:00:00:00:01: position coordinates must be a number, got 'q'"),
+        "overflowing-x": (("aps", 0, "x"), 10**400, "ap 0a:00:00:00:00:01: position coordinates out of float range"),
+        "bool-tx": (("aps", 0, "tx_power_dbm"), True, "ap 0a:00:00:00:00:01: tx power must be a number, got True"),
+        "floor-above-tx": (
+            ("aps", 0, "detection_floor_dbm"), 0, "ap 0a:00:00:00:00:01: detection floor must sit below tx power"
+        ),
+        "object-groups": (("groups",), {}, "scenario: field 'groups' has wrong type"),
+        "text-group": (("groups", 0), "g", "group must be a JSON object"),
+        "numeric-group-id": (("groups", 0, "group"), 3, "group id must be a string, got 3"),
+        "string-members": (("groups", 0, "members"), "abc", "group: field 'members' has wrong type"),
+        "numeric-member": (("groups", 0, "members"), [5], "identifier must be a string, got 5"),
+        "nan-speed": (("groups", 0, "speed"), float("nan"), "speed must be finite, got nan"),
+        "numeric-waypoints": (("groups", 0, "waypoints"), 5, "group: field 'waypoints' has wrong type"),
+        "nan-waypoint": (
+            ("groups", 0, "waypoints"), [[float("nan"), 0.0], [1.0, 1.0]], "waypoint coordinates must be finite, got nan"
+        ),
+        "waypoint-triple": (("groups", 0, "waypoints"), [[0.0, 0.0, 0.0]], "waypoint must be an (x, y) pair"),
+        "one-offset": (("groups", 0, "offsets"), [[0, 0]], "group g1: offsets must match members one-to-one"),
+        "null-offset": (("groups", 0, "offsets", 0), [None, 0], "group g1: offset coordinates must be a number, got None"),
+        "null-loners": (("loners",), None, "scenario: field 'loners' has wrong type"),
+        "numeric-loner": (("loners", 0), 1, "loner must be a JSON object"),
+        "list-device": (("loners", 0, "device"), ["a"], "identifier must be a string, got ['a']"),
+        "zero-speed": (("loners", 0, "speed"), 0, "speed must be positive and finite, got 0"),
+        "no-waypoints": (("loners", 0, "waypoints"), [], "path needs at least one waypoint"),
+        "text-waypoint": (("loners", 0, "waypoints", 0), "ab", "waypoint coordinates must be a number, got 'a'"),
     }
 
-    @pytest.mark.parametrize("path, value", MALFORMED_FIELDS.values(), ids=MALFORMED_FIELDS.keys())
-    def test_malformed_field_rejected(self, path, value):
+    @pytest.mark.parametrize("path, value, message", MALFORMED_FIELDS.values(), ids=MALFORMED_FIELDS.keys())
+    def test_malformed_field_rejected(self, path, value, message):
         doc = scenario_to_json(corridor_scenario())
         *parents, last = path
         target = doc
         for key in parents:
             target = target[key]
         target[last] = value
-        with pytest.raises(InvalidScenarioError):
+        with pytest.raises(InvalidScenarioError) as err:
+            read_scenario(io.StringIO(json.dumps(doc)))
+        assert str(err.value) == message
+
+    def test_missing_field_rejected(self):
+        doc = scenario_to_json(corridor_scenario())
+        del doc["loners"][0]["speed"]
+        with pytest.raises(InvalidScenarioError, match=r"^loner: missing field 'speed'$"):
             read_scenario(io.StringIO(json.dumps(doc)))
 
     @given(st.data())
@@ -810,6 +859,43 @@ class TestSerialization:
         with pytest.raises(LogFormatError) as err:
             read_ground_truth_jsonl(jsonl_ending_with(tmp_path, good, bad))
         assert err.value.line == 2
+
+    # One malformed value per field of a record, and the one error it
+    # raises: the reader checks only that a record is an object holding the
+    # field, and GroundTruthRecord checks each value.
+    MALFORMED_RECORDS = {
+        "not-an-object": ('"a"', "record must be a JSON object"),
+        "missing-group": ('{"device": "a", "t_start": 0, "t_end": 1}', "record: missing field 'group'"),
+        "numeric-device": ('{"device": 5, "group": "g", "t_start": 0, "t_end": 1}', "identifier must be a string, got 5"),
+        "blank-device": ('{"device": " ", "group": "g", "t_start": 0, "t_end": 1}', "identifier must be non-empty"),
+        "numeric-group": ('{"device": "a", "group": 7, "t_start": 0, "t_end": 1}', "group id must be a string, got 7"),
+        "empty-group": ('{"device": "a", "group": "", "t_start": 0, "t_end": 1}', "group id must be non-empty"),
+        "text-t-start": ('{"device": "a", "group": "g", "t_start": "0", "t_end": 1}', "t_start must be a number, got '0'"),
+        "infinite-t-end": ('{"device": "a", "group": "g", "t_start": 0, "t_end": Infinity}', "t_end must be finite, got inf"),
+    }
+
+    @pytest.mark.parametrize("bad, message", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS.keys())
+    def test_malformed_ground_truth_field_is_one_numbered_error(self, bad, message):
+        text = '{"device": "a", "group": null, "t_start": 0.0, "t_end": 1.0}\n' + bad + "\n"
+        with pytest.raises(LogFormatError) as err:
+            read_ground_truth_jsonl(io.StringIO(text))
+        assert (err.value.line, str(err.value)) == (2, f"line 2: {message}")
+
+    @given(
+        device=st.one_of(_ids(1), st.sampled_from(HOSTILE_IDS)),
+        group=st.one_of(st.none(), _ids(2), st.sampled_from(HOSTILE_IDS)),
+        t_start=st.one_of(_numbers(-1e30, 1e30), HOSTILE),
+        t_end=st.one_of(_numbers(-1e30, 1e30), HOSTILE),
+    )
+    @example(device=5, group=7, t_start=0.0, t_end=1.0)
+    def test_every_record_that_can_be_built_reads_back_equal(self, device, group, t_start, t_end):
+        try:
+            record = GroundTruthRecord(device, group, t_start, t_end)
+        except (InvalidScenarioError, ValueError):
+            return  # a record that cannot be built
+        buf = io.StringIO()
+        write_ground_truth_jsonl([record], buf)
+        assert read_ground_truth_jsonl(io.StringIO(buf.getvalue())) == (record,)
 
     @given(jsonl_text(("device", "group", "t_start", "t_end")))
     def test_arbitrary_ground_truth_raises_only_log_format_errors(self, text):

@@ -662,6 +662,28 @@ class TestJsonl:
             read_trajectories_jsonl(jsonl_ending_with(tmp_path, good, bad))
         assert err.value.line == 301
 
+    # One malformed value per field of a record, and the one error it
+    # raises: the reader checks only that a record is an object holding the
+    # field, and TrajectoryDb.add checks each value.
+    MALFORMED_RECORDS = {
+        "not-an-object": ("[1]", "record must be a JSON object"),
+        "missing-y": ('{"object": "o", "t": 1, "x": 1.0}', "record: missing field 'y'"),
+        "numeric-object": ('{"object": 5, "t": 1, "x": 1.0, "y": 2.0}', "object id must be a str, got 5"),
+        "empty-object": ('{"object": "", "t": 1, "x": 1.0, "y": 2.0}', "object id must be non-empty"),
+        "float-t": ('{"object": "o", "t": 1.0, "x": 1.0, "y": 2.0}', "grid timestamp must be an integer, got 1.0"),
+        "bool-t": ('{"object": "o", "t": true, "x": 1.0, "y": 2.0}', "grid timestamp must be an integer, got True"),
+        "text-x": ('{"object": "o", "t": 1, "x": "1", "y": 2.0}', "coordinates must be a number, got '1'"),
+        "nan-y": ('{"object": "o", "t": 1, "x": 1.0, "y": NaN}', "coordinates must be finite, got nan"),
+        "repeated-sample": ('{"object": "o", "t": 0, "x": 1.0, "y": 2.0}', "object o: duplicate sample at t=0"),
+    }
+
+    @pytest.mark.parametrize("bad, message", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS.keys())
+    def test_malformed_field_is_one_numbered_error(self, bad, message):
+        text = '{"object": "o", "t": 0, "x": 1.0, "y": 2.0}\n' + bad + "\n"
+        with pytest.raises(LogFormatError) as err:
+            read_trajectories_jsonl(io.StringIO(text))
+        assert (err.value.line, str(err.value)) == (2, f"line 2: {message}")
+
     @given(jsonl_text(("object", "t", "x", "y")))
     def test_arbitrary_input_raises_only_log_format_errors(self, text):
         try:

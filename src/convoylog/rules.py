@@ -13,8 +13,10 @@ rule per statement:
             | TIME_WITHIN('HH:MM', 'HH:MM') | TIME() <relop> 'HH:MM'
             | IN_GROUP_OF(<n>, <seconds>)
 
-AND binds tighter than OR, NOT tighter than both. A condition nests at most
-MAX_NESTING levels deep, counting parentheses, NOT and each AND or OR. A
+AND binds tighter than OR, NOT tighter than both (_OPERATORS). A condition,
+parsed or built in Python, nests at most MAX_NESTING levels of NOT, AND and
+OR; the parser also opens at most MAX_NESTING parentheses and NOTs at once,
+so 60 parentheses around a chain of 61 operands parse. A
 <net> reference names a network by ssid text, or by hardware address when it
 is shaped like one (12 hex digits with separators). Strings take single or
 double quotes. A backslash escapes any character, a line break included; a
@@ -89,6 +91,13 @@ RELATIONS = ("<", "<=", "=", ">=", ">")
 _COMPARE = dict(zip(RELATIONS, (lt, le, eq, ge, gt)))
 
 
+# The deepest condition tree: each NOT, AND and OR adds a level to everything
+# below it, so a chain of k operands takes k - 1 levels. Every reader of the
+# tree (evaluation, the printer, hash, repr, ==) recurses once per level;
+# this keeps them all far from Python's recursion limit.
+MAX_NESTING = 100
+
+
 def _check_minutes(value: int, name: str) -> None:
     """ValueError unless value is an int, not a bool, in [0, 1440): a time
     of day in minutes since midnight, as 'HH:MM' writes it."""
@@ -118,21 +127,27 @@ class Predicate:
     """Base class for condition nodes; subclasses are frozen dataclasses.
 
     Fields that evaluation reads but rule text does not write are settled in
-    __post_init__ (init=False, compare=False): a term's resolved networks,
+    __post_init__ and left out of ==, hash and repr: a term's resolved networks,
     TimeCompare's operator, and _lookback, the longest IN_GROUP_OF lookback
-    within the node (0 when it has none).
+    within the node (0 when it has none). And, Or and Not also settle _depth,
+    their levels of NOT, AND and OR, at most MAX_NESTING (a term's is 0).
     """
 
     __slots__ = ()
     _lookback = 0
+    _depth = 0
 
 
-def _longest_lookback(*operands: Predicate) -> int:
-    """The longest IN_GROUP_OF lookback among a node's operands."""
+def _settle(node: Predicate, *operands: Predicate) -> None:
+    """Settle node's _lookback and _depth; ValueError past MAX_NESTING."""
     for p in operands:
         if not isinstance(p, Predicate):
             raise TypeError(f"not a predicate: {p!r}")
-    return max(p._lookback for p in operands)
+    depth = 1 + max(p._depth for p in operands)
+    if depth > MAX_NESTING:
+        raise ValueError(f"condition nests deeper than {MAX_NESTING} levels")
+    object.__setattr__(node, "_lookback", max(p._lookback for p in operands))
+    object.__setattr__(node, "_depth", depth)
 
 
 @dataclass(frozen=True)
@@ -223,29 +238,32 @@ class InGroupOf(Predicate):
 class And(Predicate):
     left: Predicate
     right: Predicate
-    _lookback: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_lookback", _longest_lookback(self.left, self.right))
+        _settle(self, self.left, self.right)
 
 
 @dataclass(frozen=True)
 class Or(Predicate):
     left: Predicate
     right: Predicate
-    _lookback: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_lookback", _longest_lookback(self.left, self.right))
+        _settle(self, self.left, self.right)
 
 
 @dataclass(frozen=True)
 class Not(Predicate):
     operand: Predicate
-    _lookback: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_lookback", _longest_lookback(self.operand))
+        _settle(self, self.operand)
+
+
+# The operators in binding order, loosest first, for the parser and the
+# printer. OR and AND join left-associative chains; NOT is a prefix.
+_OPERATORS: tuple[tuple[str, type[Predicate]], ...] = (("OR", Or), ("AND", And), ("NOT", Not))
+_BINDING = {cls: level for level, (_, cls) in enumerate(_OPERATORS)}
 
 
 @dataclass(frozen=True)
@@ -281,16 +299,14 @@ class _Arg(NamedTuple):
 
     It is a token of kind, called what in "expected ..." errors; read turns
     the token's text into the field value (ValueError when malformed) and
-    show turns the value back into text. too_small is set for an integer
-    that must be at least 1: the error for a smaller one, raised once the
-    term's closing parenthesis is read.
+    show turns the value back into text. The term's class checks the values
+    (an IN_GROUP_OF integer below 1, say) once its closing parenthesis is read.
     """
 
     kind: str
     what: str
     read: Callable[[str], object]
     show: Callable[[object], str]
-    too_small: str | None = None
 
 
 _NETWORK = _Arg("string", "network name", str, _quote)
@@ -307,20 +323,14 @@ _TERMS: dict[str, tuple[type[Predicate], tuple[_Arg, ...]]] = {
     "FIRST_VISIT": (FirstVisit, ()),
     "FOLLOW_UP_VISIT": (FollowUpVisit, ()),
     "TIME_WITHIN": (TimeWithin, (_TIME, _TIME)),
-    "IN_GROUP_OF": (
-        InGroupOf,
-        (
-            _Arg("int", "group size", int, str, "group size must be at least 1"),
-            _Arg("int", "lookback seconds", int, str, "lookback must be positive"),
-        ),
-    ),
+    "IN_GROUP_OF": (InGroupOf, (_Arg("int", "group size", int, str), _Arg("int", "lookback seconds", int, str))),
 }
 _TERM_OF = {cls: (keyword, args) for keyword, (cls, args) in _TERMS.items()}
 
 
 # --- Tokenizer ---------------------------------------------------------------
 
-_KEYWORDS = {"RULE", "IF", "THEN", "AND", "OR", "NOT", "TIME", *_TERMS}
+_KEYWORDS = {"RULE", "IF", "THEN", "TIME", *(keyword for keyword, _ in _OPERATORS), *_TERMS}
 
 # One alternative per kind of token, tried in order. A string ends at its
 # first unescaped quote and holds no unescaped line break; a quote that
@@ -387,13 +397,6 @@ def _tokenize(text: str) -> list[_Token]:
 # --- Parser ------------------------------------------------------------------
 
 
-# The deepest condition the parser accepts. Each pair of parentheses, each
-# NOT and each AND or OR adds a level to everything below it, so a chain of k
-# operands takes k - 1 levels. Every reader of the condition tree recurses
-# once per level; this keeps them all far from Python's recursion limit.
-MAX_NESTING = 100
-
-
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -434,51 +437,46 @@ class _Parser:
         rule_id = self.expect("ident", "rule id").text
         self.expect(":")
         self.expect("IF")
-        condition, _ = self.parse_expr()
+        condition = self.parse_expr()
         self.expect("THEN")
         content = self.expect("string", "quoted content").text
         return Rule(rule_id=rule_id, condition=condition, content=content)
 
-    def nest(self, tok: _Token, depth: int) -> int:
-        """depth; a RuleSyntaxError at tok when the open levels plus depth
-        exceed MAX_NESTING."""
-        if self.open + depth > MAX_NESTING:
-            raise self.error(f"condition nests deeper than {MAX_NESTING} levels", tok)
-        return depth
+    def build(self, tok: _Token, make: type[Predicate], *values: object) -> Predicate:
+        """make(*values); a RuleSyntaxError at tok, its operator or term
+        keyword, when the node refuses them."""
+        try:
+            return make(*values)
+        except ValueError as exc:
+            raise self.error(str(exc), tok) from None
 
-    # Each parse_* below returns a condition and its depth in levels.
+    def parse_expr(self, level: int = 0) -> Predicate:
+        """A condition of operators binding at least as tight as _OPERATORS[level]."""
+        keyword, make = _OPERATORS[level]
+        if make is Not:
+            return self.parse_unary()
+        node = self.parse_expr(level + 1)
+        while (tok := self.peek()).kind == keyword:
+            self.advance()
+            node = self.build(tok, make, node, self.parse_expr(level + 1))
+        return node
 
-    def parse_expr(self) -> tuple[Predicate, int]:
-        return self.parse_chain("OR", Or, self.parse_and)
-
-    def parse_and(self) -> tuple[Predicate, int]:
-        return self.parse_chain("AND", And, self.parse_unary)
-
-    def parse_chain(
-        self, op: str, make: type[And] | type[Or], operand: Callable[[], tuple[Predicate, int]]
-    ) -> tuple[Predicate, int]:
-        node, depth = operand()
-        while self.peek().kind == op:
-            tok = self.advance()
-            right, right_depth = operand()
-            node, depth = make(node, right), self.nest(tok, 1 + max(depth, right_depth))
-        return node, depth
-
-    def parse_unary(self) -> tuple[Predicate, int]:
+    def parse_unary(self) -> Predicate:
         tok = self.peek()
         if tok.kind not in ("NOT", "("):
-            return self.parse_term(), 0
+            return self.parse_term()
+        # Nodes check the tree's depth; this bounds the parser's own recursion.
+        if self.open == MAX_NESTING:
+            raise self.error(f"condition nests deeper than {MAX_NESTING} levels", tok)
         self.advance()
-        self.nest(tok, 1)
         self.open += 1
         if tok.kind == "NOT":
-            node, depth = self.parse_unary()
-            node = Not(node)
+            node = self.build(tok, Not, self.parse_unary())
         else:
-            node, depth = self.parse_expr()
+            node = self.parse_expr()
             self.expect(")")
         self.open -= 1
-        return node, 1 + depth
+        return node
 
     def parse_term(self) -> Predicate:
         tok = self.advance()
@@ -488,26 +486,23 @@ class _Parser:
             rel = self.advance()
             if rel.kind not in RELATIONS:
                 raise self.error(f"expected comparison after TIME(), found {rel.shown()}", rel)
-            return TimeCompare(rel.kind, self.argument(_TIME)[1])
+            return TimeCompare(rel.kind, self.argument(_TIME))
         if tok.kind not in _TERMS:
             raise self.error(f"expected a condition, found {tok.shown()}", tok)
         cls, args = _TERMS[tok.kind]
         self.expect("(")
-        read: list[tuple[_Token, object]] = []
+        values: list[object] = []
         for arg in args:
-            if read:
+            if values:
                 self.expect(",")
-            read.append(self.argument(arg))
+            values.append(self.argument(arg))
         self.expect(")")
-        for arg, (arg_tok, value) in zip(args, read):
-            if arg.too_small and value < 1:
-                raise self.error(arg.too_small, arg_tok)
-        return cls(*(value for _, value in read))
+        return self.build(tok, cls, *values)
 
-    def argument(self, arg: _Arg) -> tuple[_Token, object]:
+    def argument(self, arg: _Arg) -> object:
         tok = self.expect(arg.kind, arg.what)
         try:
-            return tok, arg.read(tok.text)
+            return arg.read(tok.text)
         except ValueError as exc:
             raise self.error(str(exc), tok) from None
 
@@ -519,41 +514,27 @@ def parse_rules(text: str) -> tuple[Rule, ...]:
 
 # --- Printer -----------------------------------------------------------------
 
-_PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4
-
-
-def _prec(p: Predicate) -> int:
-    if isinstance(p, Or):
-        return _PREC_OR
-    if isinstance(p, And):
-        return _PREC_AND
-    if isinstance(p, Not):
-        return _PREC_NOT
-    return _PREC_ATOM
-
-
 def _render(p: Predicate, floor: int) -> str:
-    if isinstance(p, Or):
-        text = f"{_render(p.left, _PREC_OR)} OR {_render(p.right, _PREC_OR + 1)}"
-    elif isinstance(p, And):
-        text = f"{_render(p.left, _PREC_AND)} AND {_render(p.right, _PREC_AND + 1)}"
-    elif isinstance(p, Not):
-        text = f"NOT {_render(p.operand, _PREC_NOT)}"
-    elif isinstance(p, TimeCompare):
-        text = f"TIME() {p.relation} {_TIME.show(p.minutes)}"
-    elif type(p) in _TERM_OF:
-        keyword, args = _TERM_OF[type(p)]
-        shown = (arg.show(getattr(p, f.name)) for arg, f in zip(args, fields(p)))
-        text = f"{keyword}({', '.join(shown)})"
-    else:
+    """p as text, in parentheses if it binds looser than _OPERATORS[floor]; a term never does."""
+    if type(p) in _BINDING:
+        level = _BINDING[type(p)]
+        keyword = _OPERATORS[level][0]
+        if isinstance(p, Not):
+            text = f"{keyword} {_render(p.operand, level)}"
+        else:
+            text = f"{_render(p.left, level)} {keyword} {_render(p.right, level + 1)}"
+        return f"({text})" if level < floor else text
+    if isinstance(p, TimeCompare):
+        return f"TIME() {p.relation} {_TIME.show(p.minutes)}"
+    if type(p) not in _TERM_OF:
         raise TypeError(f"not a predicate: {p!r}")
-    if _prec(p) < floor:
-        return f"({text})"
-    return text
+    keyword, args = _TERM_OF[type(p)]
+    shown = (arg.show(getattr(p, f.name)) for arg, f in zip(args, fields(p)))
+    return f"{keyword}({', '.join(shown)})"
 
 
 def format_predicate(p: Predicate) -> str:
-    return _render(p, _PREC_OR)
+    return _render(p, 0)
 
 
 def format_rules(rules: tuple[Rule, ...] | list[Rule]) -> str:

@@ -66,7 +66,7 @@ from .proximity import (
     _observation,
     canonical_id,
 )
-from .trajectories import Point, TrajectoryDb
+from .trajectories import Point, TrajectoryDb, _coordinates
 
 REFERENCE_DISTANCE_M = 1.0
 
@@ -115,6 +115,7 @@ class RadioModel:
         exponent = _finite(self.path_loss_exponent, "path_loss_exponent")
         if not exponent > 0:
             raise InvalidScenarioError("path_loss_exponent must be positive and finite")
+        _finite(10.0 * exponent, "10 * path_loss_exponent")  # the formula's slope
         sigma = _finite(self.noise_sigma_db, "noise_sigma_db")
         if not sigma >= 0:
             raise InvalidScenarioError("noise_sigma_db must be non-negative and finite")
@@ -124,6 +125,18 @@ class RadioModel:
         _finite(self.seed, "seed")
         object.__setattr__(self, "path_loss_exponent", exponent)
         object.__setattr__(self, "noise_sigma_db", sigma)
+
+
+def _of_kind(value, kind: type | tuple[type, ...], what: str, name: str = ""):
+    """value; unless it is a kind, InvalidScenarioError: what must be a name (kind's by default)."""
+    if not isinstance(value, kind):
+        raise InvalidScenarioError(f"{what} must be a {name or kind.__name__}, got {value!r}")
+    return value
+
+
+def _tuple_of(values, kind: type, what: str) -> tuple:
+    """values as a tuple; InvalidScenarioError unless a tuple or list (not a str) of kind."""
+    return tuple(_of_kind(v, kind, f"{what} item") for v in _of_kind(values, (tuple, list), what, "tuple or list"))
 
 
 def _finite_points(points: Iterable, what: str) -> tuple[Point, ...]:
@@ -182,9 +195,7 @@ def path_through(waypoints: Iterable[tuple[float, float]], travel_time: float) -
 
 
 def _check_group_id(group_id: str) -> None:
-    if not isinstance(group_id, str):
-        raise InvalidScenarioError(f"group id must be a string, got {group_id!r}")
-    if not group_id:
+    if not _of_kind(group_id, str, "group id", "string"):
         raise InvalidScenarioError("group id must be non-empty")
 
 
@@ -203,7 +214,9 @@ class GroupSpec:
 
     def __post_init__(self):
         _check_group_id(self.group_id)
-        members = tuple(canonical_id(d) for d in self.members)
+        _of_kind(self.path, WaypointPath, f"group {self.group_id}: path")
+        members = _of_kind(self.members, (tuple, list), f"group {self.group_id}: members", "tuple or list")
+        members = tuple(canonical_id(d) for d in members)
         object.__setattr__(self, "members", members)
         if not members:
             raise InvalidScenarioError(f"group {self.group_id} has no members")
@@ -229,6 +242,7 @@ class LonerSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "device", canonical_id(self.device))
+        _of_kind(self.path, WaypointPath, f"loner {self.device}: path")
 
 
 @dataclass(frozen=True)
@@ -247,10 +261,10 @@ class MobilityScenario:
     dropout_rate: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise InvalidScenarioError(f"scenario name must be a string, got {self.name!r}")
-        for name in ("aps", "groups", "loners"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        _of_kind(self.name, str, "scenario name", "string")
+        for name, kind in (("aps", ApNode), ("groups", GroupSpec), ("loners", LonerSpec)):
+            object.__setattr__(self, name, _tuple_of(getattr(self, name), kind, name))
+        _of_kind(self.radio, RadioModel, "radio")
         for name in ("sample_interval", "duration", "dropout_rate"):
             object.__setattr__(self, name, _finite(getattr(self, name), name))
         if not self.sample_interval > 0:
@@ -414,10 +428,10 @@ def rssi_at(
 
     Noise is drawn from rng (the module-level generator when omitted), so
     pass the scenario generator for reproducible traces; with noise, each
-    call makes exactly one rng.gauss call, heard or not. Each coordinate of
-    pos must be finite as the errors module defines it, or ValueError.
+    call makes exactly one rng.gauss call, heard or not. ValueError unless
+    pos is an (x, y) pair of finite coordinates (trajectories._coordinates).
     """
-    x, y = finite(pos[0], "position"), finite(pos[1], "position")
+    x, y = _coordinates(pos)
     gauss = (rng if rng is not None else random).gauss
     noise = functools.partial(gauss, 0.0, model.noise_sigma_db)
     heard = _receiver((ap,), model, noise, noise)(x, y)

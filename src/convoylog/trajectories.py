@@ -133,7 +133,9 @@ class Point(NamedTuple):
 
 
 def _coordinates(p: Point) -> tuple[float, float]:
-    """p's coordinates as floats; ValueError unless errors.finite takes both."""
+    """p's coordinates as floats; ValueError unless p is a tuple or list of two that errors.finite takes."""
+    if not isinstance(p, (tuple, list)) or len(p) != 2:
+        raise ValueError(f"position must be an (x, y) pair, got {p!r}")
     return finite(p[0], "coordinates"), finite(p[1], "coordinates")
 
 

@@ -142,7 +142,10 @@ SLOTS = {
     "GroupSpec.offset": (lambda v: GroupSpec("g", (A,), path(), offsets=((v, 0.0),)), finite_and(), InvalidScenarioError),
     # the other numbers of a scenario
     "RadioModel.path_loss_exponent": (
-        lambda v: RadioModel(path_loss_exponent=v), finite_and(lambda x: x > 0), InvalidScenarioError
+        # the formula multiplies by 10 * exponent, which must be finite too
+        lambda v: RadioModel(path_loss_exponent=v),
+        finite_and(lambda x: x > 0 and takes(finite, 10 * x)),
+        InvalidScenarioError,
     ),
     "RadioModel.noise_sigma_db": (lambda v: RadioModel(noise_sigma_db=v), finite_and(lambda x: x >= 0), InvalidScenarioError),
     "ApNode.tx_power_dbm": (lambda v: ap(tx=v), finite_and(lambda x: x > -90.0), InvalidScenarioError),
@@ -217,6 +220,7 @@ VALUES = (
 @example(slot="MobilityScenario.sample_interval", value=Fraction(1, 3))
 @example(slot="GroupQueryParams.t_max", value=10**400)
 @example(slot="path_through.waypoint", value=5e-324)
+@example(slot="RadioModel.path_loss_exponent", value=1e308)
 def test_accepts_exactly_what_errors_accepts(slot, value):
     call, accepts, error = SLOTS[slot]
     if accepts(value):
@@ -234,3 +238,27 @@ def test_stored_coordinates_and_times_are_floats(value):
     assert type(stored.x) is float and stored.x == value
     t = Fingerprint(value, ENV).t
     assert type(t) is float and t == value
+
+
+# Positions that are not (x, y) pairs. A triple was taken as its first two
+# coordinates, and bytes or a dict keyed 0 and 1 as a pair; the others
+# raised IndexError or TypeError, or ValueError for a str's characters.
+NOT_PAIRS = [(1.0, 2.0, 3.0), (1.0,), (), [1.0, 2.0, 3.0], 5, None, "ab", b"ab", {0: 1.0, 1: 2.0}, {1.0, 2.0}]
+POSITION_CALLS = {
+    "TrajectoryDb.add": lambda p: TrajectoryDb().add("b", 0, p),
+    "density_clusters": lambda p: density_clusters([("a", p)], 1.0, 1),
+    "rssi_at": lambda p: rssi_at(ap(), p, RadioModel()),
+}
+
+
+@pytest.mark.parametrize("call", sorted(POSITION_CALLS))
+@pytest.mark.parametrize("position", NOT_PAIRS, ids=repr)
+def test_a_position_that_is_not_a_pair_is_a_value_error(call, position):
+    with pytest.raises(ValueError, match=r"^position must be an \(x, y\) pair"):
+        POSITION_CALLS[call](position)
+
+
+@pytest.mark.parametrize("call", sorted(POSITION_CALLS))
+@pytest.mark.parametrize("position", [(1.0, 2.0), [1.0, 2.0], Point(1.0, 2.0)], ids=repr)
+def test_a_pair_is_a_position(call, position):
+    POSITION_CALLS[call](position)

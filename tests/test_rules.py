@@ -387,6 +387,88 @@ def named(ssid: str, rssi: int, bssid: str) -> ApObservation:
     return ApObservation(bssid=bssid, rssi=rssi, ssid=ssid)
 
 
+# How one step of a built condition joins the tree so far to an operand.
+_JOINS = {
+    "not": lambda tree, operand: Not(tree),
+    "and": lambda tree, operand: And(tree, operand),
+    "and-right": lambda tree, operand: And(operand, tree),
+    "or": lambda tree, operand: Or(tree, operand),
+    "or-right": lambda tree, operand: Or(operand, tree),
+}
+
+
+def tree_depth(p) -> int:
+    """Levels of NOT, AND and OR in p, counted from its fields."""
+    if isinstance(p, Not):
+        return 1 + tree_depth(p.operand)
+    if isinstance(p, (And, Or)):
+        return 1 + max(tree_depth(p.left), tree_depth(p.right))
+    return 0
+
+
+class TestBuiltNesting:
+    """Conditions built in Python meet the nesting limit the parser keeps."""
+
+    def test_3000_nots_are_refused_at_the_101st(self):
+        # Each Not was built; evaluating, printing, hashing or repr of the
+        # tree then raised RecursionError.
+        p = IsVisible("x")
+        with pytest.raises(ValueError, match=f"nests deeper than {rule_engine.MAX_NESTING} levels"):
+            for _ in range(3000):
+                p = Not(p)
+        assert tree_depth(p) == rule_engine.MAX_NESTING
+        rules = (Rule("a", p, "c"),)
+        assert parse_rules(format_rules(rules)) == rules
+        assert eval_rules(rules, make_ctx()) == []  # an even number of NOTs over an unseen network
+        hash(p), repr(p)
+
+    def test_parentheses_around_a_deep_chain_parse(self):
+        # The tree is 60 levels deep and at most 60 parentheses are open at
+        # once, so both are within the limit; counted together, as they were
+        # once, they were not.
+        chain = " AND ".join([VISIBLE_X] * 61)
+        (rule,) = parse_rules(f"RULE a: IF {'(' * 60}{chain}{')' * 60} THEN 'c'")
+        assert rule.condition == parse_rules(f"RULE a: IF {chain} THEN 'c'")[0].condition
+        assert tree_depth(rule.condition) == 60
+
+    def test_term_refusal_is_a_positioned_syntax_error(self):
+        prefix = "RULE r: IF IS_VISIBLE('a') AND "
+        with pytest.raises(RuleSyntaxError, match="n must be at least 1") as err:
+            parse_rules(f"{prefix}IN_GROUP_OF(0, 60) THEN 'x'")
+        assert (err.value.line, err.value.column) == (1, len(prefix) + 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        start=leaf_predicates,
+        steps=st.lists(st.tuples(st.sampled_from(sorted(_JOINS)), predicates, st.integers(1, 60)), max_size=5),
+        visible=st.lists(st.text(alphabet="abcxyz", min_size=1, max_size=2), max_size=4),
+        time_of_day=st.integers(0, 1439),
+        companions=st.integers(0, 3),
+    )
+    def test_built_conditions_nest_within_the_limit(self, start, steps, visible, time_of_day, companions):
+        """Within the limit a built condition prints as text that parses back
+        and evaluates as the reference does; one more level is a ValueError,
+        not a RecursionError from any later reader."""
+        tree, depth = start, 0
+        for join, operand, times in steps:
+            for _ in range(times):
+                deeper = 1 + max(depth, 0 if join == "not" else tree_depth(operand))
+                if deeper > rule_engine.MAX_NESTING:
+                    with pytest.raises(ValueError, match="nests deeper"):
+                        _JOINS[join](tree, operand)
+                    break
+                tree, depth = _JOINS[join](tree, operand), deeper
+        assert tree_depth(tree) == depth
+        rules = (Rule("r", tree, "c"),)
+        assert parse_rules(format_rules(rules)) == rules
+        current = EnvironmentSnapshot(
+            tuple(named(ssid, -40 - i, AP_POOL[i + 1]) for i, ssid in enumerate(visible)) + (named("x", -50, X),)
+        )
+        log = walking_together(list(DEVICE_POOL[: companions + 1]), 0.0, 1000.0)
+        ctx = make_ctx(current, device=DEVICE_POOL[0], log=log, time_of_day=time_of_day)
+        assert eval_rules(rules, ctx) == reference_eval_rules(rules, ctx)
+
+
 class TestVisibility:
     def test_match_by_ssid(self):
         ctx = make_ctx(EnvironmentSnapshot((named("mycafe", -60, X),)))

@@ -244,6 +244,9 @@ HOSTILE = st.one_of(
 )
 
 
+_STILL = WaypointPath((Point(0.0, 0.0),), 1.0)
+
+
 class TestScenarioValidation:
     def test_full_dropout_rejected(self):
         with pytest.raises(InvalidScenarioError):
@@ -295,6 +298,46 @@ class TestScenarioValidation:
         # (OverflowError) or position (ValueError).
         with pytest.raises(InvalidScenarioError, match="must be finite, got inf$"):
             build()
+
+    def test_exponent_whose_slope_overflows_is_not_built(self):
+        # Built, 10 * 1e308 was infinite, and a loner standing on the access
+        # point recorded empty fingerprints, where the formula gives -40 dBm.
+        with pytest.raises(InvalidScenarioError, match=r"^10 \* path_loss_exponent must be finite, got inf$"):
+            RadioModel(path_loss_exponent=1e308)
+        loner = LonerSpec("03:00:00:00:00:01", _STILL)
+        scenario = tiny_scenario(groups=(), loners=(loner,), radio=RadioModel(path_loss_exponent=1e307))
+        for fp in simulate(scenario).proximity.track(loner.device).samples:
+            assert [(o.bssid, o.rssi) for o in fp.env.observations] == [("0a:00:00:00:00:01", -40)]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GroupSpec("g", 5, _STILL),
+            lambda: GroupSpec("g", "abc", _STILL),
+            lambda: GroupSpec("g", ("a",), 5),
+            lambda: LonerSpec("a", None),
+            lambda: MobilityScenario("x", 5, (), (), RadioModel(), 1.0, 1.0),
+            lambda: tiny_scenario(aps=(None,)),
+            lambda: tiny_scenario(groups="g"),
+            lambda: tiny_scenario(loners=(5,)),
+            lambda: tiny_scenario(radio=None),
+        ],
+        ids=[
+            "numeric-members", "string-members", "numeric-path", "no-loner-path", "numeric-aps",
+            "null-ap", "string-groups", "numeric-loner", "no-radio",
+        ],
+    )
+    def test_part_of_the_wrong_kind_is_not_built(self, build):
+        # Each raised TypeError or AttributeError, or was built: a str of
+        # members as its characters, a missing path or radio to fail later.
+        with pytest.raises(InvalidScenarioError, match="must be a"):
+            build()
+
+    def test_parts_may_come_as_lists(self):
+        group = GroupSpec("g", ["02:00:00:00:00:01"], _STILL)
+        scenario = tiny_scenario(aps=[ap()], groups=[group], loners=[])
+        assert group.members == ("02:00:00:00:00:01",)
+        assert (scenario.aps, scenario.groups, scenario.loners) == ((ap(),), (group,), ())
 
     def test_offsets_must_match_members(self):
         with pytest.raises(InvalidScenarioError):
